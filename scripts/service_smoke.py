@@ -14,7 +14,10 @@ shm-published graph (the ``pokec`` registry entry at half scale):
    (``cached: true``) and ``GET /stats`` reports a positive cache hit
    rate without a second fleet being built;
 4. the served estimates are bit-identical to the batch harness
-   (``run_trials_prefix``) at the same user seed.
+   (``run_trials_prefix``) at the same user seed;
+5. a concurrent burst of distinct-seed queries spanning all ten
+   algorithms — walked as packed fleets — answers every query
+   bit-identically to ``run_trials_prefix`` at its own seed.
 
 **Chaos** (``--faults``) — the resilience-layer acceptance path, with a
 deterministic fault plan installed at the production ``fire`` sites
@@ -242,12 +245,53 @@ def main() -> int:
             "served estimates must be bit-identical to the batch harness"
         )
         print("bit-identity with run_trials_prefix ok", flush=True)
+
+        _distinct_seed_burst(port, service, graph, t1, t2)
     finally:
         harness.stop()
         service.close()
 
     print("service smoke: PASS", flush=True)
     return 0
+
+
+def _distinct_seed_burst(port, service, graph, t1, t2) -> None:
+    """Concurrent distinct-seed clients over HTTP, checked against the batch harness."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    queries = [
+        {
+            "algorithm": name,
+            "t1": t1,
+            "t2": t2,
+            "budget": BUDGET // (1 + index % 2),
+            "seed": 1000 + 31 * index,
+            "repetitions": REPETITIONS,
+            "burn_in": BURN_IN,
+        }
+        for index, name in enumerate(service.algorithms)
+    ]
+    before = _get(port, "/stats")["fleets"]
+    with ThreadPoolExecutor(max_workers=len(queries)) as pool:
+        answers = list(pool.map(lambda q: _post(port, "/estimate", q), queries))
+    for query, answer in zip(queries, answers):
+        name = query["algorithm"]
+        [outcome] = run_trials_prefix(
+            graph, t1, t2, service._suite[name], name,
+            [query["budget"]], REPETITIONS, BURN_IN,
+            seed=derive_seed(query["seed"], name, "prefix"),
+        )
+        assert answer["estimates"] == outcome.estimates, name
+        assert answer["api_calls"] == outcome.api_calls, name
+    after = _get(port, "/stats")["fleets"]
+    fleets = after["built"] - before["built"]
+    walks = after["walks_run"] - before["walks_run"]
+    assert fleets == len(queries), (before, after)
+    print(
+        f"distinct-seed burst ok: {len(queries)} algorithms, {fleets} fleets "
+        f"in {walks} packed walk(s), all bit-identical to run_trials_prefix",
+        flush=True,
+    )
 
 
 def chaos_main() -> int:

@@ -6,7 +6,8 @@ the visited line nodes one at a time.  This module is its array-native
 twin, built on :class:`~repro.walks.line_batched.BatchedLineWalkEngine`:
 
 * :func:`run_baseline_fleet` — all repetitions of one (baseline,
-  budget) cell as a single fleet of implicit line-graph walkers;
+  budget) cell as a single fleet of implicit line-graph walkers, or
+  (packed form) several baselines' fleets as one walk;
 * :func:`classify_line_fleet` — label-mask classification of an
   already-walked fleet into an
   :class:`~repro.core.samplers.base.EdgeSampleBatch` whose rows are the
@@ -25,7 +26,7 @@ label-agnostic.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,32 +36,43 @@ from repro.exceptions import EstimationError
 from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import Label
 from repro.utils.rng import RandomSource, ensure_numpy_rng
-from repro.walks.batched import kernel_stationary_weights
-from repro.walks.line_batched import BatchedLineWalkEngine, LineFleetResult
+from repro.walks.batched import FleetGroup, kernel_stationary_weights
+from repro.walks.line_batched import (
+    BatchedLineWalkEngine,
+    LineFleetResult,
+    run_packed_line_fleets,
+)
 
 from repro.baselines.adaptations import LineGraphBaseline
 
 
 def run_baseline_fleet(
     csr: CSRGraph,
-    baseline: LineGraphBaseline,
-    k: int,
-    repetitions: int,
+    baseline: Union[LineGraphBaseline, Sequence[FleetGroup]],
+    k: Optional[int] = None,
+    repetitions: Optional[int] = None,
     burn_in: int = 0,
     rng: RandomSource = None,
-    engine: str = "numpy",
-) -> LineFleetResult:
+):
     """Walk all *repetitions* of one EX-* cell as one line-graph fleet.
 
     One walker per repetition, ``burn_in + k`` vectorized transitions
     each; the kernel (and its ``alpha`` / ``delta`` / line-max-degree
     knobs) comes off the *baseline* instance, so tuned suites vectorize
-    with their own configuration.  ``engine="compiled"`` walks the
-    fleet with the bit-identical numba kernels instead of the numpy
-    step loop.
+    with their own configuration.
+
+    Packed form: ``run_baseline_fleet(csr, groups)`` with a sequence of
+    :class:`~repro.walks.batched.FleetGroup` (kernel from each
+    baseline's :meth:`~LineGraphBaseline.csr_kernel_spec`) walks every
+    group in one line-graph walk with a per-walker kernel
+    (:func:`~repro.walks.line_batched.run_packed_line_fleets`) and
+    returns one result — bit-identical to the solo fleet — or one
+    :class:`~repro.exceptions.WalkError` per group.
     """
+    if isinstance(baseline, (list, tuple)):
+        return run_packed_line_fleets(csr, baseline)
     line_engine = BatchedLineWalkEngine(
-        csr, kernel=baseline.csr_kernel_spec(), rng=ensure_numpy_rng(rng), engine=engine
+        csr, kernel=baseline.csr_kernel_spec(), rng=ensure_numpy_rng(rng)
     )
     return line_engine.run_fleet(repetitions, k, burn_in=burn_in)
 

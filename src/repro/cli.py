@@ -38,7 +38,13 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.bounds import compute_all_bounds
-from repro.core.samplers.csr_backend import BACKENDS, EXECUTIONS, REUSES
+from repro.core.samplers.csr_backend import (
+    BACKENDS,
+    EXECUTIONS,
+    RETIRED_BACKENDS,
+    REUSES,
+    validate_backend,
+)
 from repro.core.pipeline import available_algorithms, estimate_target_edge_count
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.experiments.config import ExperimentConfig
@@ -77,11 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--seed", type=int, default=2018)
     estimate.add_argument(
         "--backend",
-        choices=BACKENDS,
+        choices=BACKENDS + RETIRED_BACKENDS,
         default="python",
-        help="walk backend: dict-based reference engine, vectorized CSR "
-        "arrays, or numba-compiled kernels (bit-identical to csr; numpy "
-        "fallback when numba is absent)",
+        help="walk backend: dict-based reference engine or vectorized CSR "
+        "arrays ('compiled' was removed and raises)",
     )
 
     table = subparsers.add_parser("table", help="reproduce a paper NRMSE table")
@@ -100,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.add_argument(
         "--backend",
-        choices=BACKENDS,
+        choices=BACKENDS + RETIRED_BACKENDS,
         default="python",
-        help="walk backend for the proposed algorithms ('compiled' runs "
-        "numba-njit fleet kernels, bit-identical to 'csr')",
+        help="walk backend for the proposed algorithms ('compiled' was "
+        "removed and raises)",
     )
     table.add_argument(
         "--execution",
@@ -165,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--seed", type=int, default=2018)
     figure.add_argument(
         "--backend",
-        choices=BACKENDS,
+        choices=BACKENDS + RETIRED_BACKENDS,
         default="python",
-        help="walk backend for the proposed algorithms ('compiled' runs "
-        "numba-njit fleet kernels, bit-identical to 'csr')",
+        help="walk backend for the proposed algorithms ('compiled' was "
+        "removed and raises)",
     )
     figure.add_argument(
         "--execution",
@@ -268,11 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=("csr", "compiled"),
+        choices=("csr",) + RETIRED_BACKENDS,
         default="csr",
-        help="fleet tier the server walks with: 'csr' (vectorized numpy) "
-        "or 'compiled' (numba-njit kernels; numpy fallback with a typed "
-        "warning when numba is absent) — answers are bit-identical",
+        help="fleet engine the server walks with: 'csr' (vectorized "
+        "numpy; 'compiled' was removed and raises)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8000)
@@ -761,6 +765,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "backend", None) is not None:
+        validate_backend(args.backend)  # a retired backend fails up front
     if args.verbose:
         configure_logging()
     handler = _COMMANDS[args.command]

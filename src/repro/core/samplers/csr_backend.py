@@ -68,6 +68,7 @@ from repro.walks.batched import (
     draw_start_index,
     kernel_stationary_weights,
     resolve_kernel_spec,
+    run_packed_fleets,
 )
 
 from repro.core.samplers.base import (
@@ -79,12 +80,13 @@ from repro.core.samplers.base import (
     NodeSampleSet,
 )
 #: Walk-backend choices, shared by the samplers, the pipeline, the
-#: experiment config and the CLI.  ``"compiled"`` is the CSR data plane
-#: driven by the numba-njit fleet kernels of
-#: :mod:`repro.walks.compiled` — bit-identical to ``"csr"`` from the
-#: same seed, and falling back to it (typed warning) when numba is
-#: absent; scalar walk paths behave exactly as ``"csr"``.
-BACKENDS: Tuple[str, ...] = ("python", "csr", "compiled")
+#: experiment config and the CLI.
+BACKENDS: Tuple[str, ...] = ("python", "csr")
+
+#: Backends that existed once and now raise a :class:`ConfigurationError`
+#: naming their removal (the CLI still accepts the names so the error
+#: can say so).
+RETIRED_BACKENDS: Tuple[str, ...] = ("compiled",)
 
 #: Trial-execution choices for the experiment harness: one repetition at
 #: a time through a fresh API wrapper, or all repetitions of a cell as
@@ -100,6 +102,12 @@ REUSES: Tuple[str, ...] = ("none", "prefix")
 
 def validate_backend(backend: str) -> str:
     """Return *backend* or raise the shared unknown-backend error."""
+    if backend in RETIRED_BACKENDS:
+        raise ConfigurationError(
+            f"backend {backend!r} was removed together with the numba "
+            "kernel tier, whose speedup was never demonstrated; use 'csr', "
+            "whose answers it matched bit for bit"
+        )
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
@@ -135,16 +143,6 @@ def validate_backend_and_kernel(backend: str, kernel) -> str:
     if validate_backend(backend) != "python":
         resolve_kernel_spec(kernel)
     return backend
-
-
-def fleet_engine(backend: str) -> str:
-    """The batched-engine name a validated *backend* selects.
-
-    ``"compiled"`` drives the fleets with the numba kernels (numpy
-    fallback when numba is missing); every other backend uses the
-    vectorized numpy engine.
-    """
-    return "compiled" if backend == "compiled" else "numpy"
 
 
 def _run_walk(
@@ -414,20 +412,31 @@ def run_csr_sampler(
 # ----------------------------------------------------------------------
 def run_fleet_walk(
     csr: CSRGraph,
-    k: int,
-    repetitions: int,
-    burn_in: int,
-    rng: RandomSource,
-    kernel: KernelLike,
-    engine: str = "numpy",
+    k,
+    repetitions: Optional[int] = None,
+    burn_in: int = 0,
+    rng: RandomSource = None,
+    kernel: KernelLike = "simple",
 ):
+    """Walk one node fleet, or — packed form — many at once.
+
+    ``run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel)`` walks
+    *repetitions* independent walkers for ``burn_in + k`` transitions
+    and returns their :class:`~repro.walks.batched.FleetWalkResult`.
+
+    ``run_fleet_walk(csr, groups)`` takes a sequence of
+    :class:`~repro.walks.batched.FleetGroup` and walks them all in one
+    packed walk (:func:`~repro.walks.batched.run_packed_fleets`),
+    returning one result — bit-identical to the group's solo fleet — or
+    one :class:`WalkError` per group.
+    """
+    if isinstance(k, (list, tuple)):
+        return run_packed_fleets(csr, k)
     check_positive_int(k, "k")
     check_positive_int(repetitions, "repetitions")
     check_non_negative_int(burn_in, "burn_in")
-    fleet_engine_ = BatchedWalkEngine(
-        csr, kernel=kernel, rng=ensure_numpy_rng(rng), engine=engine
-    )
-    return fleet_engine_.run_fleet(repetitions, k, burn_in=burn_in)
+    engine = BatchedWalkEngine(csr, kernel=kernel, rng=ensure_numpy_rng(rng))
+    return engine.run_fleet(repetitions, k, burn_in=burn_in)
 
 
 def enforce_fleet_budget(charges: np.ndarray, budget: Optional[int]) -> None:
@@ -637,19 +646,17 @@ def sample_edges_fleet(
     budget: Optional[int] = None,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
-    engine: str = "numpy",
 ) -> EdgeSampleBatch:
     """NeighborSample for *repetitions* independent trials in one fleet.
 
     One walker per trial, advanced with vectorized numpy steps (burn-in
-    included) or, with ``engine="compiled"``, the bit-identical numba
-    kernels; the result is the array-native
+    included); the result is the array-native
     :class:`~repro.core.samplers.base.EdgeSampleBatch` — per-trial
     source/destination/target-flag rows — plus a per-trial charged-call
     ledger with the same distinct-page semantics as running each trial
     through its own caching :class:`RestrictedGraphAPI`.
     """
-    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel, engine=engine)
+    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel)
     return classify_edge_fleet(
         csr, fleet, t1, t2,
         budget=budget,
@@ -670,7 +677,6 @@ def explore_nodes_fleet(
     budget: Optional[int] = None,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
-    engine: str = "numpy",
 ) -> NodeSampleBatch:
     """NeighborExploration for *repetitions* independent trials in one fleet.
 
@@ -679,7 +685,7 @@ def explore_nodes_fleet(
     trial explores around its labeled sampled nodes, exactly like the
     reference sampler running through a fresh caching wrapper.
     """
-    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel, engine=engine)
+    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel)
     return classify_node_fleet(
         csr, fleet, t1, t2,
         budget=budget,
@@ -690,12 +696,12 @@ def explore_nodes_fleet(
 
 __all__ = [
     "BACKENDS",
+    "RETIRED_BACKENDS",
     "EXECUTIONS",
     "REUSES",
     "validate_backend",
     "validate_execution",
     "validate_reuse",
-    "fleet_engine",
     "run_fleet_walk",
     "sample_edges_csr",
     "explore_nodes_csr",

@@ -187,6 +187,39 @@ def _sample_indices(num_pages: int) -> List[int]:
     return sorted({round(index * step) for index in range(SAMPLE_PAGES)})
 
 
+def _page_reader(path, archive, raw, info, page_bytes: int):
+    """A ``page index -> bytes`` reader for one member, O(page) per call.
+
+    A stored (uncompressed — every :func:`write_npz` member) member's
+    bytes sit contiguously after its local header, so each page is one
+    ``os.pread`` at the raw data offset; seeking a ``ZipExtFile`` would
+    read through the member from its start instead.  Compressed members
+    (not produced here) fall back to that seek.
+    """
+    if info.compress_type != zipfile.ZIP_STORED:
+
+        def read_compressed(index: int) -> bytes:
+            with archive.open(info) as member:
+                member.seek(index * page_bytes)
+                return member.read(page_bytes)
+
+        return read_compressed
+    fd = raw.fileno()
+    local = os.pread(fd, 30, info.header_offset)
+    if len(local) < 30 or local[:4] != b"PK\x03\x04":
+        _fail(path, f"member {info.filename!r} has a corrupt local header")
+    name_len = int.from_bytes(local[26:28], "little")
+    extra_len = int.from_bytes(local[28:30], "little")
+    data_offset = info.header_offset + 30 + name_len + extra_len
+
+    def read_stored(index: int) -> bytes:
+        start = index * page_bytes
+        length = max(0, min(page_bytes, info.file_size - start))
+        return os.pread(fd, length, data_offset + start)
+
+    return read_stored
+
+
 def _fail(path: PathLike, detail: str) -> None:
     _count("failed")
     raise ArtifactCorruptError(
@@ -217,7 +250,7 @@ def verify_artifact(path: PathLike, mode: Optional[str] = None) -> str:
     members = manifest.get("members", {})
     page_bytes = int(manifest.get("page_bytes", PAGE_BYTES))
     try:
-        with zipfile.ZipFile(path, "r") as archive:
+        with zipfile.ZipFile(path, "r") as archive, open(path, "rb") as raw:
             names = archive.namelist()
             if sorted(names) != sorted(members):
                 _fail(path, "member list does not match the manifest")
@@ -241,16 +274,14 @@ def verify_artifact(path: PathLike, mode: Optional[str] = None) -> str:
                         _fail(path, f"member {info.filename!r} digest mismatch")
                 else:  # sampled
                     pages: List[str] = expected["pages"]  # type: ignore[assignment]
-                    with archive.open(info) as member:
-                        for index in _sample_indices(len(pages)):
-                            member.seek(index * page_bytes)
-                            chunk = member.read(page_bytes)
-                            if _digest(chunk) != pages[index]:
-                                _fail(
-                                    path,
-                                    f"member {info.filename!r} page {index} "
-                                    "digest mismatch",
-                                )
+                    read_page = _page_reader(path, archive, raw, info, page_bytes)
+                    for index in _sample_indices(len(pages)):
+                        if _digest(read_page(index)) != pages[index]:
+                            _fail(
+                                path,
+                                f"member {info.filename!r} page {index} "
+                                "digest mismatch",
+                            )
     except (zipfile.BadZipFile, OSError) as exc:
         # A bit flip can surface as zipfile's own CRC check or a read
         # error before our digest comparison runs — same verdict.

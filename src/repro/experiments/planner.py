@@ -21,13 +21,16 @@ The exactness contract callers rely on:
   ``tests/service/test_planner.py``), because the fleet engines consume
   their random streams step-by-step across all walkers;
 * two queries differing only in target pair and/or budget are served
-  from the *same* walk, so coalescing them changes no estimate.
+  from the *same* walk, so coalescing them changes no estimate;
+* fleets of *different* specs can share one packed walk
+  (:func:`pack_prefix_fleets`): each keeps its own random stream, so a
+  packed fleet is bit-identical to the same spec walked alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.baselines.fleet import (
     classify_line_fleet,
@@ -40,10 +43,12 @@ from repro.core.samplers.csr_backend import (
     classify_node_fleet,
     run_fleet_walk,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, WalkError
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import RandomSource, ensure_numpy_rng
+from repro.utils.rng import RandomSource
 from repro.utils.validation import check_positive_int
+from repro.walks.batched import FleetGroup, FleetWalkResult
+from repro.walks.line_batched import LineFleetResult
 
 from repro.experiments.algorithms import AlgorithmRunner, BaselineRunner
 
@@ -66,6 +71,66 @@ class FleetSpec:
     burn_in: int
 
 
+def walk_family(runner: AlgorithmRunner) -> str:
+    """Which packed walk serves *runner*: ``"line"`` (EX-*) or ``"node"``."""
+    return "line" if isinstance(runner, BaselineRunner) else "node"
+
+
+def _fleet_group(runner: AlgorithmRunner, spec: FleetSpec, max_budget: int) -> FleetGroup:
+    """The packed-walk group one (runner, spec, max budget) request walks."""
+    if not isinstance(runner, (ProposedRunner, BaselineRunner)):
+        raise ConfigurationError(
+            f"prefix reuse needs a vectorizable registry runner "
+            f"(ProposedRunner or BaselineRunner); {spec.algorithm!r} is "
+            "not one — run it with reuse='none'"
+        )
+    check_positive_int(max_budget, "max_budget")
+    check_positive_int(spec.repetitions, "repetitions")
+    # The proposed algorithms all walk the simple random walk; the EX-*
+    # kernel (and its knobs) comes off the wrapped baseline instance.
+    kernel = (
+        runner.baseline.csr_kernel_spec()
+        if isinstance(runner, BaselineRunner)
+        else "simple"
+    )
+    return FleetGroup(kernel, spec.seed, spec.repetitions, int(max_budget), spec.burn_in)
+
+
+def walk_fleets(
+    csr: CSRGraph,
+    requests: Sequence[Tuple[AlgorithmRunner, FleetSpec, int]],
+) -> List[Union[FleetWalkResult, LineFleetResult, ConfigurationError, WalkError]]:
+    """Walk every ``(runner, spec, max_budget)`` request in at most two walks.
+
+    The NS/NE requests share one packed node walk
+    (:func:`run_fleet_walk`), the EX-* requests one packed line walk
+    with a per-walker kernel (:func:`run_baseline_fleet`).  Each
+    request's fleet is bit-identical to its solo walk, because every
+    group draws from its own seed.  A request that cannot be walked (a
+    runner that does not vectorize, a bad budget) or whose walk raised
+    gets its :class:`ConfigurationError` / :class:`WalkError` instead,
+    and the others are unaffected.
+    """
+    families: Dict[str, List[Tuple[int, FleetGroup]]] = {"node": [], "line": []}
+    outcomes: list = [None] * len(requests)
+    for position, (runner, spec, max_budget) in enumerate(requests):
+        try:
+            group = _fleet_group(runner, spec, max_budget)
+        except ConfigurationError as exc:
+            outcomes[position] = exc
+            continue
+        families[walk_family(runner)].append((position, group))
+    for members, walk in (
+        (families["node"], run_fleet_walk),
+        (families["line"], run_baseline_fleet),
+    ):
+        if members:
+            walked = walk(csr, [group for _, group in members])
+            for (position, _), outcome in zip(members, walked):
+                outcomes[position] = outcome
+    return outcomes
+
+
 class PrefixFleet:
     """One max-budget walker fleet, answering any (pair, budget ≤ max).
 
@@ -85,12 +150,11 @@ class PrefixFleet:
     :class:`ConfigurationError`, exactly like the historical inline
     check in ``run_trials_prefix``.
 
-    *engine* selects the fleet execution tier (``"numpy"`` default,
-    ``"compiled"`` for the numba kernels).  It is deliberately **not**
-    part of :class:`FleetSpec`: the engines are bit-identical from the
-    same seed, so a fleet walked by either engine answers the same
-    queries with the same bits — answer caches and fleet sharing stay
-    engine-agnostic.
+    Without *fleet* the constructor walks the fleet itself, as a pack
+    of one (:func:`walk_fleets`).  *fleet* hands it an already walked
+    fleet instead — its slice of a packed walk
+    (:func:`pack_prefix_fleets`), which is bit-identical to what the
+    constructor would have walked.
     """
 
     def __init__(
@@ -99,41 +163,19 @@ class PrefixFleet:
         runner: AlgorithmRunner,
         spec: FleetSpec,
         max_budget: int,
-        engine: str = "numpy",
+        fleet: Union[FleetWalkResult, LineFleetResult, None] = None,
     ) -> None:
-        if not isinstance(runner, (ProposedRunner, BaselineRunner)):
-            raise ConfigurationError(
-                f"prefix reuse needs a vectorizable registry runner "
-                f"(ProposedRunner or BaselineRunner); {spec.algorithm!r} is "
-                "not one — run it with reuse='none'"
-            )
-        check_positive_int(max_budget, "max_budget")
-        check_positive_int(spec.repetitions, "repetitions")
+        if fleet is None:
+            (fleet,) = walk_fleets(csr, [(runner, spec, max_budget)])
+            if isinstance(fleet, Exception):
+                raise fleet
+        else:
+            _fleet_group(runner, spec, max_budget)  # same validation
         self.csr = csr
         self.runner = runner
         self.spec = spec
         self.max_budget = int(max_budget)
-        rng = ensure_numpy_rng(spec.seed)
-        if isinstance(runner, BaselineRunner):
-            self._fleet = run_baseline_fleet(
-                csr,
-                runner.baseline,
-                self.max_budget,
-                spec.repetitions,
-                burn_in=spec.burn_in,
-                rng=rng,
-                engine=engine,
-            )
-        else:
-            self._fleet = run_fleet_walk(
-                csr,
-                self.max_budget,
-                spec.repetitions,
-                spec.burn_in,
-                rng,
-                "simple",
-                engine=engine,
-            )
+        self._fleet = fleet
 
     @property
     def algorithm(self) -> str:
@@ -185,4 +227,30 @@ class PrefixFleet:
         )
 
 
-__all__ = ["FleetSpec", "PrefixFleet"]
+def pack_prefix_fleets(
+    csr: CSRGraph,
+    requests: Sequence[Tuple[AlgorithmRunner, FleetSpec, int]],
+) -> List[Union[PrefixFleet, ConfigurationError, WalkError]]:
+    """One :class:`PrefixFleet` (or the request's error) per request.
+
+    The serving layer's batch path: every request of a batch is walked
+    in at most two packed walks (:func:`walk_fleets`) and each
+    :class:`PrefixFleet` is built from its slice, so its answers are
+    bit-identical to a fleet built alone from the same spec.
+    """
+    walked = walk_fleets(csr, requests)
+    return [
+        outcome
+        if isinstance(outcome, Exception)
+        else PrefixFleet(csr, runner, spec, max_budget, fleet=outcome)
+        for (runner, spec, max_budget), outcome in zip(requests, walked)
+    ]
+
+
+__all__ = [
+    "FleetSpec",
+    "PrefixFleet",
+    "pack_prefix_fleets",
+    "walk_family",
+    "walk_fleets",
+]

@@ -4,9 +4,10 @@ A :class:`Deadline` is an absolute point on the (injectable) monotonic
 clock.  It travels alongside a query from the HTTP layer through the
 :class:`~repro.service.batcher.MicroBatcher` into
 :meth:`EstimationService.estimate_many`, where the engine *checks* it
-at plan boundaries — an expired query is dropped before its walks are
-spent rather than interrupted mid-walk (walk kernels are tight numba
-loops; cooperative checks at plan granularity keep them signal-free).
+before the batch's packed walk and again before each answer — an
+expired query is dropped before its walks are spent rather than
+interrupted mid-walk (cooperative checks keep the vectorized walk
+loops signal-free).
 
 Two layers of enforcement:
 

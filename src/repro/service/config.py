@@ -34,12 +34,10 @@ class ServiceConfig:
     publication entirely (single-process dev server).  See
     ``docs/scaling-guide.md`` for the trade-off.
 
-    ``backend`` selects the fleet tier the server walks with:
-    ``"csr"`` (default, vectorized numpy) or ``"compiled"`` (numba-njit
-    kernels, falling back to numpy with a typed warning when numba is
-    absent).  The tiers are bit-identical from the same seed, so
-    answers — and the answer cache — are backend-agnostic.
-    ``"python"`` has no fleet engine and is rejected.
+    ``backend`` selects the walk engine: ``"csr"`` (the vectorized
+    numpy fleets) is the only one the server has.  ``"python"`` has no
+    fleet engine and is rejected; ``"compiled"`` was removed with the
+    numba kernel tier and raises :class:`ConfigurationError`.
 
     The resilience knobs (``docs/operations.md`` is the runbook):
 
@@ -97,7 +95,7 @@ class ServiceConfig:
         if self.backend == "python":
             raise ConfigurationError(
                 "the estimation service walks vectorized fleets; "
-                "backend must be 'csr' or 'compiled'"
+                "backend must be 'csr'"
             )
         if not (0 <= int(self.port) <= 65535):
             raise ConfigurationError(f"port must be in [0, 65535], got {self.port}")

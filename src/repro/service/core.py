@@ -16,12 +16,14 @@
   micro-batcher, or a single synchronous caller) is split into cache
   hits and misses; the misses are grouped by
   :func:`repro.service.planner.plan_queries` into shared max-budget
-  fleets, each executed once through
-  :class:`repro.experiments.planner.PrefixFleet` — the same walks the
-  batch harness does, so served answers are bit-identical to
-  ``run_trials_prefix`` at the same user seed.
-* **Accounting.**  Steps walked, wall-clock walking time, fleet and
-  query counters — the substance behind ``/stats``.
+  fleets, and every plan of the batch is walked in at most two packed
+  walks (one node walk for the proposed algorithms, one line-graph walk
+  for the EX-* baselines — :func:`repro.experiments.planner.pack_prefix_fleets`).
+  Each plan's :class:`~repro.experiments.planner.PrefixFleet` is its
+  slice of the pack, bit-identical to the walk the batch harness does,
+  so served answers equal ``run_trials_prefix`` at the same user seed.
+* **Accounting.**  Steps walked, wall-clock walking time, fleet, walk
+  and query counters — the substance behind ``/stats``.
 
 The engine is synchronous and thread-safe for the batcher's
 run-in-executor calls (one lock around plan execution); all asyncio
@@ -44,10 +46,10 @@ from repro.exceptions import (
     DeadlineExceededError,
     ExperimentError,
 )
-from repro.core.samplers.csr_backend import fleet_engine, validate_backend
+from repro.core.samplers.csr_backend import validate_backend
 from repro.experiments.algorithms import AlgorithmRunner, build_algorithm_suite
 from repro.experiments.metrics import nrmse
-from repro.experiments.planner import PrefixFleet
+from repro.experiments.planner import PrefixFleet, pack_prefix_fleets, walk_family
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.store import CSRPublication, publish_csr, validate_graph_store
@@ -189,12 +191,8 @@ class EstimationService:
         choice for graphs larger than RAM), or ``"ram"`` (no external
         publication; single-process serving).
     backend:
-        Fleet tier the service walks with: ``"csr"`` (default,
-        vectorized numpy) or ``"compiled"`` (numba-njit kernels, numpy
-        fallback with a typed warning when numba is absent).  The tiers
-        are bit-identical from the same seed, so answers and the answer
-        cache are backend-agnostic — a query answered on one tier is
-        byte-for-byte the answer the other would give.
+        Walk engine: ``"csr"`` (the vectorized numpy fleets) is the only
+        one the service has; ``"compiled"`` was removed and raises.
     algorithms:
         The servable runner registry; defaults to the full paper suite
         (proposed + EX-* baselines) built against the serving graph.
@@ -243,7 +241,7 @@ class EstimationService:
         if backend == "python":
             raise ConfigurationError(
                 "the estimation service walks vectorized fleets; "
-                "backend must be 'csr' or 'compiled'"
+                "backend must be 'csr'"
             )
         check_positive_int(default_repetitions, "default_repetitions")
         self.name = name
@@ -262,6 +260,8 @@ class EstimationService:
         self.queries_served = 0
         self.query_errors = 0
         self.fleets_built = 0
+        self.walks_run = 0
+        self.walkers_walked = 0
         self.steps_walked = 0
         self.walk_seconds = 0.0
         self.degraded_served = 0
@@ -521,15 +521,19 @@ class EstimationService:
         budget) are returned in their slots instead of raised, so one
         bad query can never poison the other members of a coalesced
         batch — the micro-batcher forwards each slot to its own client.
-        Cache misses are grouped by :func:`plan_queries` and each plan
-        walks exactly one max-budget fleet.
+        Cache misses are grouped by :func:`plan_queries`; each plan
+        is one max-budget fleet, and the batch's fleets are walked
+        together in at most two packed walks.  A plan whose walk fails
+        (a :class:`~repro.exceptions.WalkError` of its own group) fails
+        only its queries and its algorithm's breaker.
 
         *deadlines* (parallel to *queries*, ``None`` entries = no
-        deadline) enables **cooperative cancellation**: an expired
-        query is dropped at the next plan boundary — before its walks
-        are spent — with :class:`DeadlineExceededError` in its slot,
-        and a plan whose every member expired is skipped entirely.
-        Walks are never interrupted mid-kernel; the event-loop side
+        deadline) enables **cooperative cancellation**: deadlines are
+        checked before the packed walk — an expired query is answered
+        with :class:`DeadlineExceededError` and a plan whose every
+        member expired is not walked — and again before each answer is
+        classified off the walk.  Walks are never interrupted
+        mid-kernel; the event-loop side
         (:meth:`MicroBatcher.submit
         <repro.service.batcher.MicroBatcher.submit>`) answers the 504
         at the deadline regardless, this check just stops charging
@@ -619,10 +623,12 @@ class EstimationService:
     ) -> Dict[EstimateQuery, Union[EstimateAnswer, Exception]]:
         deadlines = deadlines or {}
         answered: Dict[EstimateQuery, Union[EstimateAnswer, Exception]] = {}
+        # Every check that can stop a plan runs per plan, before the
+        # packed walk: deadlines, the breaker, the fleet.run fault site.
+        admitted = []
         for plan in plans:
-            # Cooperative cancellation at the plan boundary: expired
-            # queries are answered 504 without walking, and a fully
-            # expired plan never builds its fleet.
+            # Cooperative cancellation: expired queries are answered 504
+            # without walking, and a fully expired plan never walks.
             live: List[EstimateQuery] = []
             for query in plan.queries:
                 deadline = deadlines.get(query)
@@ -646,23 +652,42 @@ class EstimationService:
                         )
                     )
                 continue
-            started = time.perf_counter()
             try:
                 fire("fleet.run", algorithm=plan.spec.algorithm)
-                fleet = PrefixFleet(
-                    self._csr,
-                    self._suite[plan.spec.algorithm],
-                    plan.spec,
-                    plan.max_budget,
-                    engine=fleet_engine(self.backend),
-                )
             except Exception as exc:
                 breaker.record_failure()
                 for query in live:
                     answered[query] = exc
                 continue
+            admitted.append((plan, live, breaker))
+        if not admitted:
+            return answered
+
+        started = time.perf_counter()
+        requests = [
+            (self._suite[plan.spec.algorithm], plan.spec, plan.max_budget)
+            for plan, _, _ in admitted
+        ]
+        try:
+            fleets = pack_prefix_fleets(self._csr, requests)
+        except Exception as exc:  # not attributable to one plan
+            fleets = [exc] * len(admitted)
+        self.walks_run += len(
+            {
+                walk_family(runner)
+                for (runner, _, _), fleet in zip(requests, fleets)
+                if not isinstance(fleet, ConfigurationError)
+            }
+        )
+        for (plan, live, breaker), fleet in zip(admitted, fleets):
+            if isinstance(fleet, Exception):
+                breaker.record_failure()
+                for query in live:
+                    answered[query] = fleet
+                continue
             breaker.record_success()
             self.fleets_built += 1
+            self.walkers_walked += plan.spec.repetitions
             self.steps_walked += fleet.steps_walked
             for query in live:
                 if query in answered and not isinstance(
@@ -677,7 +702,7 @@ class EstimationService:
                     answered[query] = self._answer_from_fleet(fleet, query)
                 except Exception as exc:
                     answered[query] = exc
-            self.walk_seconds += time.perf_counter() - started
+        self.walk_seconds += time.perf_counter() - started
         return answered
 
     def _answer_from_fleet(
@@ -743,6 +768,10 @@ class EstimationService:
             "cache": self._cache.stats(),
             "fleets": {
                 "built": self.fleets_built,
+                "walks_run": self.walks_run,
+                "walkers_per_walk": (
+                    self.walkers_walked / self.walks_run if self.walks_run else 0.0
+                ),
                 "steps_walked": self.steps_walked,
                 "walk_seconds": self.walk_seconds,
                 "steps_per_second": steps_per_second,

@@ -10,7 +10,11 @@ Two execution styles live here, both sharing the CSR arrays:
   ``rng.choice`` does.
 * :class:`BatchedWalkEngine` — ``N`` independent walkers advanced one
   numpy-vectorized step at a time, for throughput workloads (fleet
-  simulation, variance studies, benchmarks).
+  simulation, variance studies, benchmarks).  It walks as a pack of
+  one: :func:`run_packed_fleets` advances several independent fleets
+  (:class:`FleetGroup` — each with its own generator, kernel, width and
+  length) with one vectorized step, each bit-identical to its solo
+  fleet, because narrow fleets are dispatch-bound.
 
 Both support every kernel of :mod:`repro.walks.kernels`: the two
 degree-stationary kernels the paper's proposed algorithms use
@@ -42,8 +46,9 @@ use the chunked-gather fallback documented on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,11 +60,6 @@ from repro.exceptions import (
 )
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import RandomSource, ensure_numpy_rng, ensure_rng
-from repro.walks.compiled import (
-    compiled_node_fleet,
-    pow_like_scalar,
-    resolve_engine,
-)
 from repro.utils.validation import (
     check_in_range,
     check_non_negative_int,
@@ -135,6 +135,18 @@ class KernelSpec:
         """
         return self.name == "mhrw" or (self.name == "rcmh" and self.alpha > 0.0)
 
+    @property
+    def draws_accept(self) -> bool:
+        """Whether each step consumes an accept uniform per walker.
+
+        True exactly when :func:`kernel_move_probabilities` returns an
+        array: the degree-stationary kernels and ``rcmh`` at
+        ``alpha = 0`` always move and draw nothing.
+        """
+        if self.name in DEGREE_STATIONARY_KERNELS:
+            return False
+        return not (self.name == "rcmh" and self.alpha == 0.0)
+
 
 def resolve_csr_kernel(kernel: KernelLike) -> str:
     """Normalise *kernel* (name, spec or kernel instance) to a supported name.
@@ -190,6 +202,54 @@ def resolve_kernel_spec(
     )
 
 
+def _scalar_pow(x: float, y: float) -> float:
+    """Scalar twin of :func:`pow_like_scalar` for ``x > 0``.
+
+    Exponents 1, 2 and 0.5 take the same exactly-rounded branches the
+    vectorized helper takes (the last via ``sqrt``, correctly rounded
+    where generic ``pow`` need not be); everything else is libm ``pow``
+    — what Python ``**`` calls — so the rcmh accept probabilities come
+    out bit-identical across the scalar and vectorized tiers.
+    """
+    if y == 1.0:
+        return x
+    if y == 2.0:
+        return x * x
+    if y == 0.5:
+        return math.sqrt(x)
+    return x ** y
+
+
+def pow_like_scalar(values, exponent: float) -> np.ndarray:
+    """Elementwise ``values ** exponent`` with *scalar* (libm) rounding.
+
+    numpy's vectorized float64 power loop may come from a SIMD
+    implementation that disagrees with libm ``pow`` by 1 ULP on some
+    inputs (machine-dependent), while every scalar tier — Python
+    ``**``, the reference kernels and the per-step CSR loops — calls
+    libm.  The vectorized engines route their generic powers through
+    this helper so all tiers compute the same accept probabilities bit
+    for bit: the correctly-rounded exponents (1, 2, 0.5) vectorize
+    directly (they match :func:`_scalar_pow`'s fast paths exactly),
+    everything else evaluates libm ``pow`` once per *unique* base —
+    degrees and degree ratios repeat heavily — and gathers the results
+    back.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if exponent == 1.0:
+        return values.copy()
+    if exponent == 2.0:
+        return values * values
+    if exponent == 0.5:
+        return np.sqrt(values)
+    unique, inverse = np.unique(values, return_inverse=True)
+    powered = np.array(
+        [math.pow(base, exponent) for base in unique.tolist()], dtype=np.float64
+    )
+    # numpy < 2.1 flattens return_inverse; reshape covers both behaviors.
+    return powered[np.reshape(inverse, values.shape)]
+
+
 def kernel_move_probabilities(
     spec: KernelSpec,
     current_degrees: np.ndarray,
@@ -198,9 +258,9 @@ def kernel_move_probabilities(
     """Per-walker probability of accepting the drawn candidate.
 
     The canonical formula table, shared by every *vectorized*
-    accept/reject path (fleet advance and line-graph fleets; the
-    scalar per-step loops in ``_walk_exact`` / ``_walk_fast`` inline
-    the same formulas for speed — keep them in sync):
+    accept/reject path (packed node and line-graph fleets; the scalar
+    per-step loops in ``_walk_exact`` / ``_walk_fast`` inline the same
+    formulas for speed — keep them in sync):
 
     * ``mhrw`` — ``min(1, d(u)/d(v))``
     * ``rcmh`` — ``min(1, (d(u)/d(v))**alpha)`` (``alpha=0``: always)
@@ -219,8 +279,8 @@ def kernel_move_probabilities(
         if spec.alpha == 0.0:
             return None
         # pow_like_scalar, not `** alpha`: numpy's SIMD pow can be 1 ULP
-        # off libm, which every scalar tier (and the compiled engine)
-        # calls — the bit-exactness contract spans all of them.
+        # off libm, which every scalar tier calls — the bit-exactness
+        # contract spans all of them.
         return np.minimum(
             1.0, pow_like_scalar(current_degrees / proposal_degrees, spec.alpha)
         )
@@ -771,6 +831,418 @@ class FleetWalkResult:
         )
 
 
+# ----------------------------------------------------------------------
+# packed fleets
+# ----------------------------------------------------------------------
+#: Steps per pre-drawn uniform chunk of a packed walk.
+PACK_CHUNK_STEPS = 64
+
+#: Upper bound on the uniforms pre-drawn per chunk (16 MB of float64);
+#: it shortens the chunk only for packs of many thousands of walkers.
+_PACK_CHUNK_DOUBLES = 1 << 21
+
+
+@dataclass(frozen=True, eq=False)
+class FleetGroup:
+    """One independent fleet inside a packed walk.
+
+    A pack advances the union of several groups' walkers with one
+    vectorized step, yet every group walks exactly what a solo fleet
+    with the same fields walks — trajectories, proposal probes and
+    therefore ledgers, bit for bit.  Each group keeps its own numpy
+    generator (*rng*): its start draws run first and alone, then its
+    step uniforms are drawn in ``(chunk, draws-per-step, num_walkers)``
+    blocks, and since ``random(n)`` followed by ``random(m)`` equals
+    ``random(n + m)`` the group consumes exactly its solo stream.  A
+    group's result depends only on its own fields, never on its
+    pack-mates or their order.
+    """
+
+    kernel: KernelLike
+    rng: RandomSource
+    num_walkers: int
+    num_steps: int
+    burn_in: int = 0
+    start_nodes: Optional[Sequence[int]] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kernel", resolve_kernel_spec(self.kernel))
+        check_positive_int(self.num_walkers, "num_walkers")
+        check_positive_int(self.num_steps, "num_steps")
+        check_non_negative_int(self.burn_in, "burn_in")
+
+    @property
+    def total(self) -> int:
+        """Transitions walked, burn-in included."""
+        return self.burn_in + self.num_steps
+
+
+class GroupWalkFailure(Exception):
+    """A :class:`WalkError` raised by one group of a pack."""
+
+    def __init__(self, group: int, error: WalkError) -> None:
+        super().__init__(str(error))
+        self.group = group
+        self.error = error
+
+
+def walk_isolating_failures(
+    groups: Sequence[FleetGroup],
+    walk: Callable[[Sequence[FleetGroup], List[np.random.Generator]], list],
+) -> list:
+    """Walk *groups* as packs until each has a result or its own error.
+
+    *walk(pack, generators)* walks one pack and raises
+    :class:`GroupWalkFailure` naming the group whose walk failed (an
+    isolated start, an isolated line node, mdrw over its maximum
+    degree).  That group's slot gets its :class:`WalkError`; the others
+    are rewound to their saved generator states and re-walked packed —
+    bit-identical, because each group's stream depends only on its own
+    generator.  Returns one result or :class:`WalkError` per group.
+    """
+    generators = [ensure_numpy_rng(group.rng) for group in groups]
+    if len({id(generator) for generator in generators}) != len(generators):
+        raise ConfigurationError(
+            "packed fleets need one generator per group; a generator shared "
+            "by two groups would interleave their streams"
+        )
+    states = [generator.bit_generator.state for generator in generators]
+    outcomes: list = [None] * len(groups)
+    pending = list(range(len(groups)))
+    while pending:
+        try:
+            walked = walk(
+                [groups[index] for index in pending],
+                [generators[index] for index in pending],
+            )
+        except GroupWalkFailure as failure:
+            outcomes[pending.pop(failure.group)] = failure.error
+            for index in pending:
+                generators[index].bit_generator.state = states[index]
+            continue
+        for index, result in zip(pending, walked):
+            outcomes[index] = result
+        break
+    return outcomes
+
+
+@dataclass
+class _AcceptKernel:
+    """One accept/reject kernel of a pack step and the walkers it moves."""
+
+    spec: KernelSpec
+    #: Walkers of this kernel within the active prefix.
+    index: Union[slice, np.ndarray]
+    #: ``(group, rows)`` of each group walking this kernel.
+    members: List[Tuple[int, slice]]
+
+
+@dataclass
+class _Phase:
+    """What a pack step needs to know about the still-walking groups."""
+
+    width: int
+    accepts: List[_AcceptKernel]
+    #: Non-backtracking walkers within the prefix, or ``None``.
+    non_backtracking: Optional[np.ndarray]
+    #: Rows of the active probing walkers, and how many there are.
+    probes: Union[slice, np.ndarray]
+    probe_width: int
+
+
+def _rows_index(rows: List[slice], width: int) -> Union[slice, np.ndarray]:
+    """A walker index for *rows*: a slice when it is the whole prefix."""
+    if len(rows) == 1 and rows[0].start == 0 and rows[0].stop == width:
+        return rows[0]
+    return np.concatenate([np.arange(row.start, row.stop) for row in rows])
+
+
+class PackLayout:
+    """Walker layout of a pack: groups by walk length, longest first.
+
+    Ordering by total transitions keeps the still-walking walkers a
+    prefix of the union arrays at every step, so retiring a group is a
+    slice.  :meth:`steps` draws every group's uniforms chunk by chunk
+    from its own generator and yields them step by step with the
+    current :class:`_Phase`, which is rebuilt only when a group retires.
+    *draws_per_step* maps a kernel to the uniforms one walker consumes
+    per step (fixed per kernel, which is what makes the pre-draw exact).
+    """
+
+    def __init__(
+        self,
+        groups: Sequence[FleetGroup],
+        draws_per_step: Callable[[KernelSpec], int],
+    ) -> None:
+        self.groups = groups
+        self.order = sorted(range(len(groups)), key=lambda g: -groups[g].total)
+        self.totals = [groups[g].total for g in self.order]
+        self.draws = [draws_per_step(groups[g].kernel) for g in self.order]
+        self.bounds = [0]
+        for g in self.order:
+            self.bounds.append(self.bounds[-1] + groups[g].num_walkers)
+        self.rows = {
+            g: slice(self.bounds[p], self.bounds[p + 1])
+            for p, g in enumerate(self.order)
+        }
+        self.width = self.bounds[-1]
+        self.horizon = self.totals[0]
+        # Probe records exist only for the probing groups' walkers,
+        # compacted in union order.
+        self.probe_rows: Dict[int, slice] = {}
+        probing: List[np.ndarray] = []
+        for g in self.order:
+            if groups[g].kernel.probes_proposals:
+                start = sum(rows.size for rows in probing)
+                rows = self.rows[g]
+                probing.append(np.arange(rows.start, rows.stop))
+                self.probe_rows[g] = slice(start, start + rows.stop - rows.start)
+        self.probe_index = (
+            np.concatenate(probing) if probing else np.empty(0, dtype=np.int64)
+        )
+
+    def phase(self, active: int) -> _Phase:
+        """The phase in which the first *active* groups still walk."""
+        width = self.bounds[active]
+        kernels: Dict[KernelSpec, List[Tuple[int, slice]]] = {}
+        non_backtracking = None
+        for g in self.order[:active]:
+            spec = self.groups[g].kernel
+            kernels.setdefault(spec, []).append((g, self.rows[g]))
+            if spec.name == "non_backtracking":
+                if non_backtracking is None:
+                    non_backtracking = np.zeros(width, dtype=bool)
+                non_backtracking[self.rows[g]] = True
+        accepts = [
+            _AcceptKernel(spec, _rows_index([rows for _, rows in members], width), members)
+            for spec, members in kernels.items()
+            if spec.draws_accept
+        ]
+        probe_width = int(np.searchsorted(self.probe_index, width))
+        probe_rows = self.probe_index[:probe_width]
+        probes: Union[slice, np.ndarray] = probe_rows
+        if probe_width and probe_rows[-1] == probe_width - 1:
+            probes = slice(0, probe_width)  # every active walker probes
+        return _Phase(width, accepts, non_backtracking, probes, probe_width)
+
+    def steps(self, generators: Sequence[np.random.Generator]):
+        """Yield ``(step, uniforms, phase)`` for every step of the pack.
+
+        *uniforms* is ``(draws, width)``: row ``d`` holds the ``d``-th
+        draw of every walker active when its chunk was drawn (a prefix
+        at least as wide as ``phase.width``).
+        """
+        active = len(self.order)
+        phase = self.phase(active)
+        block, base = None, 0
+        for step in range(self.horizon):
+            if self.totals[active - 1] <= step:
+                while self.totals[active - 1] <= step:
+                    active -= 1
+                phase = self.phase(active)
+            if block is None or step - base >= block.shape[0]:
+                block, base = self._draw(generators, active, step), step
+            yield step, block[step - base], phase
+
+    def _draw(self, generators, active: int, step: int) -> np.ndarray:
+        """Uniforms of the next chunk for the first *active* groups."""
+        width = self.bounds[active]
+        draws = max(self.draws[:active])
+        chunk = max(1, min(PACK_CHUNK_STEPS, _PACK_CHUNK_DOUBLES // (draws * width)))
+        end = min(step + chunk, self.horizon)
+        if active == 1:
+            g = self.order[0]
+            return generators[g].random((end - step, draws, width))
+        block = np.empty((end - step, draws, width))
+        for p, g in enumerate(self.order[:active]):
+            span = min(end, self.totals[p]) - step
+            block[:span, : self.draws[p], self.rows[g]] = generators[g].random(
+                (span, self.draws[p], self.groups[g].num_walkers)
+            )
+        return block
+
+
+def pack_block(array: np.ndarray, rows: slice, columns: int) -> np.ndarray:
+    """``array[rows, :columns]`` — or *array* itself when that is all of it.
+
+    A group's result is a view into the pack's union arrays; a pack of
+    one hands back the arrays themselves, exactly as a solo walk would.
+    """
+    if rows.start == 0 and rows.stop == array.shape[0] and columns == array.shape[1]:
+        return array
+    return array[rows, :columns]
+
+
+def _move_probabilities(
+    kernel: _AcceptKernel, current_degrees: np.ndarray, proposal_degrees: np.ndarray
+) -> np.ndarray:
+    """Accept probabilities of one kernel's walkers, failures attributed."""
+    index = kernel.index
+    try:
+        return kernel_move_probabilities(
+            kernel.spec, current_degrees[index], proposal_degrees[index]
+        )
+    except WalkError:
+        # mdrw past its maximum degree: name the group that got there.
+        for group, rows in kernel.members:
+            try:
+                kernel_move_probabilities(
+                    kernel.spec, current_degrees[rows], proposal_degrees[rows]
+                )
+            except WalkError as exc:
+                raise GroupWalkFailure(group, exc) from None
+        raise
+
+
+def accept_mask(
+    phase: _Phase,
+    current_degrees: np.ndarray,
+    proposal_degrees: np.ndarray,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """Which active walkers move: one accept test per kernel, not per group.
+
+    Walkers of kernels without an accept test always move.
+    """
+    width = phase.width
+    if len(phase.accepts) == 1 and isinstance(phase.accepts[0].index, slice):
+        kernel = phase.accepts[0]
+        return uniforms[:width] < _move_probabilities(
+            kernel, current_degrees, proposal_degrees
+        )
+    accept = np.ones(width, dtype=bool)
+    for kernel in phase.accepts:
+        accept[kernel.index] = uniforms[kernel.index] < _move_probabilities(
+            kernel, current_degrees, proposal_degrees
+        )
+    return accept
+
+
+def _draw_starts(
+    csr: CSRGraph,
+    generator: np.random.Generator,
+    num_walkers: int,
+    start_nodes: Optional[Sequence[int]],
+) -> np.ndarray:
+    if start_nodes is None:
+        current = generator.integers(0, csr.num_nodes, size=num_walkers, dtype=np.int64)
+    else:
+        current = np.asarray(start_nodes, dtype=np.int64)
+        if current.shape != (num_walkers,):
+            raise ConfigurationError(
+                f"start_nodes must have shape ({num_walkers},), got {current.shape}"
+            )
+        if current.size and (current.min() < 0 or current.max() >= csr.num_nodes):
+            raise ConfigurationError("start_nodes contains out-of-range indices")
+    # Only starts can be isolated; every later position is a neighbor.
+    start_degrees = csr.degrees[current]
+    if not start_degrees.all():
+        index = int(current[int(np.argmin(start_degrees))])
+        raise _isolated_error(index, csr)
+    return current
+
+
+def _walk_node_pack(
+    csr: CSRGraph,
+    groups: Sequence[FleetGroup],
+    generators: Sequence[np.random.Generator],
+) -> List[FleetWalkResult]:
+    layout = PackLayout(groups, lambda spec: 1 + spec.draws_accept)
+    current = np.empty(layout.width, dtype=np.int64)
+    for g, group in enumerate(groups):
+        try:
+            current[layout.rows[g]] = _draw_starts(
+                csr, generators[g], group.num_walkers, group.start_nodes
+            )
+        except WalkError as exc:
+            raise GroupWalkFailure(g, exc) from None
+    trajectories = np.empty((layout.width, layout.horizon + 1), dtype=np.int64)
+    trajectories[:, 0] = current
+    probes = None
+    if layout.probe_index.size:
+        probes = np.empty((layout.probe_index.size, layout.horizon), dtype=np.int64)
+    previous = None
+    if any(group.kernel.name == "non_backtracking" for group in groups):
+        previous = np.full(layout.width, -1, dtype=np.int64)
+    indptr, indices, degrees = csr.indptr, csr.indices, csr.degrees
+
+    for step, uniforms, phase in layout.steps(generators):
+        width = phase.width
+        if current.size != width:
+            current = current[:width]
+            if previous is not None:
+                previous = previous[:width]
+        current_degrees = degrees[current]
+        span = current_degrees
+        eligible = None
+        if phase.non_backtracking is not None:
+            # Exclude the previous node by a swap-with-last draw: sample
+            # an offset over the d−1 allowed slots and, when it lands on
+            # the excluded neighbor, take the last slot instead — a
+            # bijection onto row∖{previous} with one draw per step.
+            # Dead ends (degree 1) and the first step (previous = −1)
+            # fall back to the plain uniform draw, so backtracking stays
+            # the only option at a dead end.
+            eligible = phase.non_backtracking & (previous >= 0) & (current_degrees > 1)
+            span = np.where(eligible, current_degrees - 1, current_degrees)
+        offsets = (uniforms[0, :width] * span).astype(np.int64)
+        np.minimum(offsets, span - 1, out=offsets)
+        rows = indptr[current]
+        proposals = indices[rows + offsets].astype(np.int64)
+        if eligible is not None:
+            bump = eligible & (proposals == previous)
+            if bump.any():
+                proposals[bump] = indices[rows[bump] + current_degrees[bump] - 1]
+        nxt = proposals
+        if phase.accepts:
+            # Accept/reject kernels: rejected walkers stay in place (the
+            # kernels' self-loop semantics).
+            accept = accept_mask(phase, current_degrees, degrees[proposals], uniforms[1])
+            nxt = np.where(accept, proposals, current)
+        if phase.probe_width:
+            # MH-family accept tests fetched the proposals' pages.
+            probes[: phase.probe_width, step] = proposals[phase.probes]
+        if previous is not None:
+            previous = current
+        current = nxt
+        trajectories[:width, step + 1] = current
+
+    results = []
+    for group_index, group in enumerate(groups):
+        probed = None
+        if group_index in layout.probe_rows:
+            probed = pack_block(probes, layout.probe_rows[group_index], group.total)
+        results.append(
+            FleetWalkResult(
+                trajectories=pack_block(
+                    trajectories, layout.rows[group_index], group.total + 1
+                ),
+                burn_in=group.burn_in,
+                probed=probed,
+                kernel=group.kernel,
+            )
+        )
+    return results
+
+
+def run_packed_fleets(
+    csr: CSRGraph, groups: Sequence[FleetGroup]
+) -> List[Union[FleetWalkResult, WalkError]]:
+    """Walk node-fleet *groups* as one packed walk.
+
+    Returns one :class:`FleetWalkResult` per group — bit-identical to
+    the group's solo fleet (:meth:`BatchedWalkEngine.run_fleet` with the
+    same kernel, generator and shape) — or the :class:`WalkError` that
+    group's walk raised; the other groups are unaffected
+    (:func:`walk_isolating_failures`).  Kernels may differ between
+    groups: each step evaluates one accept test per distinct kernel.
+    """
+    _check_not_empty(csr)
+    return walk_isolating_failures(
+        groups, lambda pack, generators: _walk_node_pack(csr, pack, generators)
+    )
+
+
 class BatchedWalkEngine:
     """Advance ``N`` independent walkers with one numpy step at a time.
 
@@ -792,21 +1264,14 @@ class BatchedWalkEngine:
         Optional charged-API-call cap, with the same distinct-page
         semantics as a caching :class:`RestrictedGraphAPI`: the fleet
         shares one page cache, and the engine raises
-        :class:`APIBudgetExceededError` mid-walk as soon as the number of
-        distinct pages fetched exceeds the budget.
+        :class:`APIBudgetExceededError` as soon as the number of
+        distinct pages fetched, replayed in fetch order, exceeds the
+        budget.
     rng:
         Seed / generator (normalised to a numpy generator).
-    engine:
-        ``"numpy"`` (default) steps the fleet with one vectorized numpy
-        pass per transition; ``"compiled"`` runs the numba-njit twin
-        kernels of :mod:`repro.walks.compiled` over chunked pre-drawn
-        uniforms.  Both consume the generator identically, so the two
-        engines are **bit-identical** from the same seed (the
-        differential suite in ``tests/unit/test_compiled_backend.py``
-        pins this).  When numba is missing, ``"compiled"`` falls back
-        to ``"numpy"`` with a
-        :class:`~repro.walks.compiled.CompiledFallbackWarning` — never
-        an import error.
+
+    The engine walks as a pack of one (:func:`run_packed_fleets`): the
+    solo fleet and a group of a wider pack are the same code path.
     """
 
     def __init__(
@@ -815,14 +1280,11 @@ class BatchedWalkEngine:
         kernel: KernelLike = "simple",
         budget: Optional[int] = None,
         rng: RandomSource = None,
-        engine: str = "numpy",
     ) -> None:
         self.csr = csr
         self.kernel = resolve_kernel_spec(kernel)
-        self.kernel_name = self.kernel.name
         self.budget = budget if budget is None else check_non_negative_int(budget, "budget")
         self._nprng = ensure_numpy_rng(rng)
-        self.engine = resolve_engine(engine)
 
     def run(
         self,
@@ -832,62 +1294,25 @@ class BatchedWalkEngine:
         start_nodes: Optional[Sequence[int]] = None,
     ) -> BatchedWalkResult:
         """Run the fleet and collect *num_steps* positions per walker."""
-        check_positive_int(num_walkers, "num_walkers")
-        check_positive_int(num_steps, "num_steps")
-        check_non_negative_int(burn_in, "burn_in")
-        _check_not_empty(self.csr)
-        csr = self.csr
-        current = self._draw_starts(num_walkers, start_nodes)
-        starts = current.copy()
-
-        tracker = PageBudgetTracker(csr.num_nodes, self.budget)
+        fleet = self._walk(num_walkers, num_steps, burn_in, start_nodes)
+        trajectories, probes = fleet.trajectories, fleet.probed
         total = burn_in + num_steps
-
-        if self.engine == "compiled":
-            # The compiled kernels walk the whole fleet first; the page
-            # charges are then replayed per step from the trajectory
-            # columns in the exact order the numpy loop issues them, so
-            # a budget crossing raises at the same step either way.
-            trajectories, probes = self._fleet_trajectories(current, total)
-            for step in range(total):
-                tracker.charge_pages(trajectories[:, step])
-                if probes is not None:
-                    tracker.charge_pages(probes[:, step])
-            tracker.charge_pages(trajectories[:, total])
-            nodes = np.ascontiguousarray(trajectories[:, burn_in + 1 :])
-            return BatchedWalkResult(
-                nodes=nodes,
-                degrees=csr.degrees[nodes],
-                start_nodes=starts,
-                tail_nodes=trajectories[:, burn_in].copy(),
-                burn_in=burn_in,
-                charged_calls=tracker.charged,
-            )
-
-        nodes = np.empty((num_walkers, num_steps), dtype=np.int64)
-        tail = starts.copy()
-        previous = np.full(num_walkers, -1, dtype=np.int64)
-
+        # The page charges are replayed per step from the trajectory
+        # columns, in the order a step-by-step crawler issues them, so a
+        # budget crossing raises with the same outcome.
+        tracker = PageBudgetTracker(self.csr.num_nodes, self.budget)
         for step in range(total):
-            tracker.charge_pages(current)  # fetch pages of current positions
-            nxt, probed = self._advance(current, previous)
-            if probed is not None:
-                # MH-family accept tests fetched the proposals' pages.
-                tracker.charge_pages(probed)
-            previous = current
-            current = nxt
-            if step >= burn_in:
-                nodes[:, step - burn_in] = current
-            if step == burn_in - 1:
-                tail = current.copy()
+            tracker.charge_pages(trajectories[:, step])
+            if probes is not None:
+                tracker.charge_pages(probes[:, step])
         # Collected degrees are read off the final pages too.
-        tracker.charge_pages(current)
-
+        tracker.charge_pages(trajectories[:, total])
+        nodes = np.ascontiguousarray(trajectories[:, burn_in + 1 :])
         return BatchedWalkResult(
             nodes=nodes,
-            degrees=csr.degrees[nodes],
-            start_nodes=starts,
-            tail_nodes=tail,
+            degrees=self.csr.degrees[nodes],
+            start_nodes=trajectories[:, 0].copy(),
+            tail_nodes=trajectories[:, burn_in].copy(),
             burn_in=burn_in,
             charged_calls=tracker.charged,
         )
@@ -914,132 +1339,27 @@ class BatchedWalkEngine:
         before settling the ledgers), not mid-step; size the walk
         accordingly when probing tight budgets.
         """
-        check_positive_int(num_walkers, "num_walkers")
-        check_positive_int(num_steps, "num_steps")
-        check_non_negative_int(burn_in, "burn_in")
-        _check_not_empty(self.csr)
-        current = self._draw_starts(num_walkers, start_nodes)
-
-        total = burn_in + num_steps
-        trajectories, probes = self._fleet_trajectories(current, total)
-
-        result = FleetWalkResult(
-            trajectories=trajectories,
-            burn_in=burn_in,
-            probed=probes,
-            kernel=self.kernel,
-        )
+        result = self._walk(num_walkers, num_steps, burn_in, start_nodes)
         if self.budget is not None:
             charges = result.charged_calls()
             if int(charges.max(initial=0)) > self.budget:
                 raise APIBudgetExceededError(self.budget, self.budget + 1)
         return result
 
-    # ------------------------------------------------------------------
-    def _fleet_trajectories(
-        self, current: np.ndarray, total: int
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Walk *total* transitions from *current*; return the full record.
-
-        The single seam both engines share: ``trajectories`` is
-        ``(N, total + 1)`` with the start positions in column 0, and
-        ``probes`` is the ``(N, total)`` proposal record for probing
-        kernels (else ``None``).  The compiled engine consumes the
-        generator in chunked pre-drawn blocks that replay the numpy
-        loop's per-step draws bit for bit, so both engines return
-        identical arrays from the same generator state.
-        """
-        num_walkers = int(current.shape[0])
-        trajectories = np.empty((num_walkers, total + 1), dtype=np.int64)
-        trajectories[:, 0] = current
-        probes: Optional[np.ndarray] = None
-        if self.kernel.probes_proposals:
-            probes = np.empty((num_walkers, total), dtype=np.int64)
-        if self.engine == "compiled":
-            compiled_node_fleet(
-                self.csr, self.kernel, self._nprng, current.copy(), trajectories, probes
-            )
-            return trajectories, probes
-        previous = np.full(num_walkers, -1, dtype=np.int64)
-        for step in range(total):
-            nxt, probed = self._advance(current, previous)
-            if probes is not None:
-                probes[:, step] = probed
-            previous = current
-            current = nxt
-            trajectories[:, step + 1] = current
-        return trajectories, probes
-
-    def _draw_starts(
-        self, num_walkers: int, start_nodes: Optional[Sequence[int]]
-    ) -> np.ndarray:
-        csr = self.csr
-        if start_nodes is None:
-            current = self._nprng.integers(
-                0, csr.num_nodes, size=num_walkers, dtype=np.int64
-            )
-        else:
-            current = np.asarray(start_nodes, dtype=np.int64)
-            if current.shape != (num_walkers,):
-                raise ConfigurationError(
-                    f"start_nodes must have shape ({num_walkers},), got {current.shape}"
-                )
-            if current.size and (current.min() < 0 or current.max() >= csr.num_nodes):
-                raise ConfigurationError("start_nodes contains out-of-range indices")
-        # Only starts can be isolated; every later position is a neighbor.
-        start_degrees = csr.degrees[current]
-        if not start_degrees.all():
-            index = int(current[int(np.argmin(start_degrees))])
-            raise _isolated_error(index, csr)
-        return current.copy()
-
-    def _advance(
-        self, current: np.ndarray, previous: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """One vectorized step; returns ``(next_positions, probed_pages)``.
-
-        *probed_pages* is the proposal array when the kernel's accept
-        test fetched the proposals' pages (MH family), else ``None``.
-        """
-        csr = self.csr
-        degrees = csr.degrees[current]
-        draws = self._nprng.random(current.size)
-        if self.kernel_name == "non_backtracking":
-            # Exclude the previous node by a swap-with-last draw: sample
-            # an offset over the d−1 allowed slots and, when it lands on
-            # the excluded neighbor, take the last slot instead — a
-            # bijection onto row∖{previous} that needs no redraw loop
-            # (fixed one-draw-per-step consumption, which is what lets
-            # the compiled engine pre-draw its uniforms and stay
-            # bit-identical).  Dead ends (degree 1) and the first step
-            # (previous = −1) fall back to the plain uniform draw, so
-            # backtracking stays the only option at a dead end.
-            eligible = (previous >= 0) & (degrees > 1)
-            span = np.where(eligible, degrees - 1, degrees)
-            offsets = (draws * span).astype(np.int64)
-            np.minimum(offsets, span - 1, out=offsets)
-            rows = csr.indptr[current]
-            nxt = csr.indices[rows + offsets].astype(np.int64)
-            bump = eligible & (nxt == previous)
-            if bump.any():
-                nxt[bump] = csr.indices[rows[bump] + degrees[bump] - 1]
-            return nxt, None
-        offsets = (draws * degrees).astype(np.int64)
-        np.minimum(offsets, degrees - 1, out=offsets)
-        nxt = csr.indices[csr.indptr[current] + offsets].astype(np.int64)
-        if self.kernel_name == "simple":
-            return nxt, None
-        # Accept/reject baselines: one vectorized accept mask; rejected
-        # walkers stay in place (the kernels' self-loop semantics).
-        spec = self.kernel
-        accept_probabilities = kernel_move_probabilities(
-            spec, degrees, csr.degrees[nxt]
+    def _walk(
+        self,
+        num_walkers: int,
+        num_steps: int,
+        burn_in: int,
+        start_nodes: Optional[Sequence[int]],
+    ) -> FleetWalkResult:
+        group = FleetGroup(
+            self.kernel, self._nprng, num_walkers, num_steps, burn_in, start_nodes
         )
-        probed = nxt if spec.probes_proposals else None
-        if accept_probabilities is None:  # rcmh at alpha=0: always move
-            return nxt, probed
-        accept = self._nprng.random(current.size) < accept_probabilities
-        return np.where(accept, nxt, current), probed
+        (outcome,) = run_packed_fleets(self.csr, [group])
+        if isinstance(outcome, WalkError):
+            raise outcome
+        return outcome
 
 
 __all__ = [
@@ -1060,4 +1380,8 @@ __all__ = [
     "BatchedWalkResult",
     "FleetWalkResult",
     "BatchedWalkEngine",
+    "FleetGroup",
+    "PACK_CHUNK_STEPS",
+    "pow_like_scalar",
+    "run_packed_fleets",
 ]

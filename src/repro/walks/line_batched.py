@@ -20,8 +20,8 @@ of ``G``:
   incident edges, then draw a uniform neighbor of the pivot excluding
   the opposite endpoint (a swap-with-last draw over the ``d − 1``
   allowed slots, the same device the non-backtracking kernel uses —
-  fixed draw consumption per step, so the compiled engine can pre-draw
-  its uniforms and replay bit-identically);
+  fixed draw consumption per step, so a packed walk can pre-draw each
+  group's uniforms and replay its solo stream bit-identically);
 * the kernel's accept test is one vectorized mask over the current and
   proposal line degrees (:func:`~repro.walks.batched.kernel_move_probabilities`),
   with stay-in-place semantics on rejection.
@@ -32,6 +32,12 @@ on ``G``, so the per-walker ledgers count distinct ``G`` nodes over the
 trajectory endpoint arrays plus — for the MH-family kernels — the
 endpoints of every (possibly rejected) proposal.
 
+:func:`run_packed_line_fleets` walks several such fleets — the five
+EX-* baselines of a served batch, each with its own seed, width and
+length — as one pack with a per-walker kernel
+(:class:`~repro.walks.batched.FleetGroup`); the solo engine is a pack
+of one.
+
 Like :class:`~repro.walks.batched.BatchedWalkEngine`, every read of
 ``G`` here is a gather, so the engine runs unchanged over
 shared-memory or memory-mapped CSR buffers (:mod:`repro.graph.store`)
@@ -41,22 +47,26 @@ without densifying the adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, EmptyGraphError, WalkError
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import RandomSource, ensure_numpy_rng
-from repro.utils.validation import check_non_negative_int, check_positive_int
+from repro.utils.validation import check_positive_int
 from repro.walks.batched import (
+    FleetGroup,
+    GroupWalkFailure,
     KernelLike,
     KernelSpec,
-    kernel_move_probabilities,
+    PackLayout,
+    accept_mask,
+    pack_block,
     per_walker_distinct_counts,
     resolve_kernel_spec,
+    walk_isolating_failures,
 )
-from repro.walks.compiled import compiled_line_fleet, resolve_engine
 
 
 @dataclass
@@ -162,6 +172,165 @@ class LineFleetResult:
         )
 
 
+def _draw_line_starts(
+    csr: CSRGraph, generator: np.random.Generator, num_walkers: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Seed edges by the reference rule: uniform node, then uniform incident edge."""
+    degrees = csr.degrees
+    u = generator.integers(0, csr.num_nodes, size=num_walkers, dtype=np.int64)
+    if not degrees[u].all():
+        index = int(u[int(np.argmin(degrees[u]))])
+        raise WalkError(
+            f"random line walk seeded at isolated node "
+            f"{csr.node_ids[index]!r}; run on the largest connected component"
+        )
+    offsets = (generator.random(num_walkers) * degrees[u]).astype(np.int64)
+    np.minimum(offsets, degrees[u] - 1, out=offsets)
+    v = csr.indices[csr.indptr[u] + offsets].astype(np.int64)
+    # Only a seed edge can be an isolated line node: every later line
+    # node shares a pivot of degree >= 2 with its predecessor.
+    line_degrees = degrees[u] + degrees[v] - 2
+    if not line_degrees.all():
+        stuck = int(np.argmin(line_degrees))
+        raise WalkError(
+            f"line walk reached isolated line node "
+            f"({csr.node_ids[int(u[stuck])]!r}, "
+            f"{csr.node_ids[int(v[stuck])]!r}); "
+            "run on the largest connected component"
+        )
+    return u, v
+
+
+def _walk_line_pack(
+    csr: CSRGraph,
+    groups: Sequence[FleetGroup],
+    generators: Sequence[np.random.Generator],
+) -> List[LineFleetResult]:
+    # Per step: the pivot-side draw, the stage-2 neighbor offset, and
+    # the accept draw for kernels that test.
+    layout = PackLayout(groups, lambda spec: 2 + spec.draws_accept)
+    u = np.empty(layout.width, dtype=np.int64)
+    v = np.empty(layout.width, dtype=np.int64)
+    for g, group in enumerate(groups):
+        try:
+            rows = layout.rows[g]
+            u[rows], v[rows] = _draw_line_starts(csr, generators[g], group.num_walkers)
+        except WalkError as exc:
+            raise GroupWalkFailure(g, exc) from None
+    shape = (layout.width, layout.horizon + 1)
+    src = np.empty(shape, dtype=np.int64)
+    dst = np.empty(shape, dtype=np.int64)
+    src[:, 0] = u
+    dst[:, 0] = v
+    probed_src = probed_dst = None
+    if layout.probe_index.size:
+        probe_shape = (layout.probe_index.size, layout.horizon)
+        probed_src = np.empty(probe_shape, dtype=np.int64)
+        probed_dst = np.empty(probe_shape, dtype=np.int64)
+    indptr, indices, degrees = csr.indptr, csr.indices, csr.degrees
+
+    for step, uniforms, phase in layout.steps(generators):
+        width = phase.width
+        if u.size != width:
+            u, v = u[:width], v[:width]
+        du = degrees[u]
+        dv = degrees[v]
+        line_degrees = du + dv - 2
+
+        # Stage 1 — pick the pivot endpoint: side u holds d(u)−1 of the
+        # d(u)+d(v)−2 line neighbors.
+        side_draws = (uniforms[0, :width] * line_degrees).astype(np.int64)
+        np.minimum(side_draws, line_degrees - 1, out=side_draws)
+        side_u = side_draws < (du - 1)
+        pivot = np.where(side_u, u, v)
+        other = np.where(side_u, v, u)
+
+        # Stage 2 — uniform neighbor of the pivot excluding the opposite
+        # endpoint, by a swap-with-last draw: sample over the pivot's
+        # d−1 allowed slots (pivot degree >= 2 on the chosen side) and
+        # bump a draw that lands on the excluded endpoint to the last
+        # slot — a bijection onto row∖{other} with exactly one uniform
+        # consumed per walker per step.
+        pivot_degrees = degrees[pivot]
+        span = pivot_degrees - 1
+        offsets = (uniforms[1, :width] * span).astype(np.int64)
+        np.minimum(offsets, span - 1, out=offsets)
+        rows = indptr[pivot]
+        w = indices[rows + offsets].astype(np.int64)
+        bump = w == other
+        if bump.any():
+            w[bump] = indices[rows[bump] + pivot_degrees[bump] - 1]
+
+        # Kernel accept tests on line degrees; rejected walkers stay.
+        if phase.accepts:
+            accept = accept_mask(
+                phase, line_degrees, pivot_degrees + degrees[w] - 2, uniforms[2]
+            )
+            u = np.where(accept, pivot, u)
+            v = np.where(accept, w, v)
+        else:
+            u, v = pivot, w
+        if phase.probe_width:
+            probed_src[: phase.probe_width, step] = pivot[phase.probes]
+            probed_dst[: phase.probe_width, step] = w[phase.probes]
+        src[:width, step + 1] = u
+        dst[:width, step + 1] = v
+
+    results = []
+    for group_index, group in enumerate(groups):
+        rows = layout.rows[group_index]
+        columns = group.total + 1
+        probes = (None, None)
+        if group_index in layout.probe_rows:
+            probe_rows = layout.probe_rows[group_index]
+            probes = (
+                pack_block(probed_src, probe_rows, group.total),
+                pack_block(probed_dst, probe_rows, group.total),
+            )
+        results.append(
+            LineFleetResult(
+                src=pack_block(src, rows, columns),
+                dst=pack_block(dst, rows, columns),
+                burn_in=group.burn_in,
+                probed_src=probes[0],
+                probed_dst=probes[1],
+                kernel=group.kernel,
+            )
+        )
+    return results
+
+
+def run_packed_line_fleets(
+    csr: CSRGraph, groups: Sequence[FleetGroup]
+) -> List[Union[LineFleetResult, WalkError]]:
+    """Walk line-fleet *groups* as one packed walk.
+
+    The line-graph twin of :func:`~repro.walks.batched.run_packed_fleets`:
+    one vectorized step advances every group's walkers, with a
+    per-walker kernel and one accept test per distinct kernel, so the
+    five EX-* baselines share a walk.  Returns one
+    :class:`LineFleetResult` per group — bit-identical to its solo
+    fleet — or the :class:`WalkError` that group's walk raised.
+    """
+    if csr.num_nodes == 0:
+        raise EmptyGraphError("cannot walk on an empty graph")
+    if csr.num_edges == 0:
+        raise WalkError("the line graph of an edgeless graph has no nodes")
+    for group in groups:
+        if group.kernel.name == "non_backtracking":
+            raise ConfigurationError(
+                "the line-graph fleet supports the simple and EX-* "
+                "accept/reject kernels; non_backtracking has no baseline"
+            )
+        if group.start_nodes is not None:
+            raise ConfigurationError(
+                "line fleets draw their seed edges; start_nodes is not supported"
+            )
+    return walk_isolating_failures(
+        groups, lambda pack, generators: _walk_line_pack(csr, pack, generators)
+    )
+
+
 class BatchedLineWalkEngine:
     """Advance ``N`` independent line-graph walkers, one numpy step at a time.
 
@@ -177,12 +346,8 @@ class BatchedLineWalkEngine:
         (:func:`repro.baselines.adaptations.line_graph_max_degree`).
     rng:
         Seed / generator (normalised to a numpy generator).
-    engine:
-        ``"numpy"`` (default) or ``"compiled"`` — see
-        :class:`~repro.walks.batched.BatchedWalkEngine`; the two
-        engines consume the generator identically and are bit-identical
-        from the same seed, and ``"compiled"`` falls back to
-        ``"numpy"`` (typed warning) when numba is absent.
+
+    The engine walks as a pack of one (:func:`run_packed_line_fleets`).
     """
 
     def __init__(
@@ -190,7 +355,6 @@ class BatchedLineWalkEngine:
         csr: CSRGraph,
         kernel: KernelLike = "simple",
         rng: RandomSource = None,
-        engine: str = "numpy",
     ) -> None:
         self.csr = csr
         self.kernel = resolve_kernel_spec(kernel)
@@ -200,7 +364,6 @@ class BatchedLineWalkEngine:
                 "accept/reject kernels; non_backtracking has no baseline"
             )
         self._nprng = ensure_numpy_rng(rng)
-        self.engine = resolve_engine(engine)
 
     def run_fleet(
         self,
@@ -216,129 +379,11 @@ class BatchedLineWalkEngine:
         experiment repetition and keeps its own distinct-page ledger
         (:meth:`LineFleetResult.charged_calls`).
         """
-        check_positive_int(num_walkers, "num_walkers")
-        check_positive_int(num_steps, "num_steps")
-        check_non_negative_int(burn_in, "burn_in")
-        csr = self.csr
-        if csr.num_nodes == 0:
-            raise EmptyGraphError("cannot walk on an empty graph")
-        if csr.num_edges == 0:
-            raise WalkError("the line graph of an edgeless graph has no nodes")
-        spec = self.kernel
-        rng = self._nprng
-        degrees = csr.degrees
-        indptr = csr.indptr
-        indices = csr.indices
-
-        # Seed edges: uniform node, then uniform incident edge.
-        u = rng.integers(0, csr.num_nodes, size=num_walkers, dtype=np.int64)
-        if not degrees[u].all():
-            index = int(u[int(np.argmin(degrees[u]))])
-            raise WalkError(
-                f"random line walk seeded at isolated node "
-                f"{csr.node_ids[index]!r}; run on the largest connected component"
-            )
-        offsets = (rng.random(num_walkers) * degrees[u]).astype(np.int64)
-        np.minimum(offsets, degrees[u] - 1, out=offsets)
-        v = indices[indptr[u] + offsets].astype(np.int64)
-
-        total = burn_in + num_steps
-        src = np.empty((num_walkers, total + 1), dtype=np.int64)
-        dst = np.empty((num_walkers, total + 1), dtype=np.int64)
-        src[:, 0] = u
-        dst[:, 0] = v
-        probes: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None)
-        if spec.probes_proposals:
-            probes = (
-                np.empty((num_walkers, total), dtype=np.int64),
-                np.empty((num_walkers, total), dtype=np.int64),
-            )
-
-        if self.engine == "compiled":
-            compiled_line_fleet(
-                csr, spec, rng, u.copy(), v.copy(), src, dst, probes[0], probes[1]
-            )
-        else:
-            for step in range(total):
-                u, v, proposal = self._advance(u, v)
-                if probes[0] is not None:
-                    probes[0][:, step] = proposal[0]
-                    probes[1][:, step] = proposal[1]
-                src[:, step + 1] = u
-                dst[:, step + 1] = v
-
-        return LineFleetResult(
-            src=src,
-            dst=dst,
-            burn_in=burn_in,
-            probed_src=probes[0],
-            probed_dst=probes[1],
-            kernel=spec,
-        )
-
-    # ------------------------------------------------------------------
-    def _advance(
-        self, u: np.ndarray, v: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-        """One vectorized line-graph step for the whole fleet.
-
-        Returns the new endpoint arrays plus the proposal endpoint pair
-        (used for ledger probes; equal to the new position on accepted
-        steps).
-        """
-        csr = self.csr
-        spec = self.kernel
-        rng = self._nprng
-        degrees = csr.degrees
-        du = degrees[u]
-        dv = degrees[v]
-        line_degrees = du + dv - 2
-        if not line_degrees.all():
-            stuck = int(np.argmin(line_degrees))
-            raise WalkError(
-                f"line walk reached isolated line node "
-                f"({csr.node_ids[int(u[stuck])]!r}, "
-                f"{csr.node_ids[int(v[stuck])]!r}); "
-                "run on the largest connected component"
-            )
-
-        # Stage 1 — pick the pivot endpoint: side u holds d(u)−1 of the
-        # d(u)+d(v)−2 line neighbors.
-        side_draws = (rng.random(u.size) * line_degrees).astype(np.int64)
-        np.minimum(side_draws, line_degrees - 1, out=side_draws)
-        side_u = side_draws < (du - 1)
-        pivot = np.where(side_u, u, v)
-        other = np.where(side_u, v, u)
-
-        # Stage 2 — uniform neighbor of the pivot excluding the opposite
-        # endpoint, by a swap-with-last draw: sample over the pivot's
-        # d−1 allowed slots (pivot degree >= 2 on the chosen side) and
-        # bump a draw that lands on the excluded endpoint to the last
-        # slot — a bijection onto row∖{other} with exactly one uniform
-        # consumed per walker per step (what lets the compiled engine
-        # pre-draw its uniforms and replay bit-identically).
-        pivot_degrees = degrees[pivot]
-        span = pivot_degrees - 1
-        offsets = (rng.random(u.size) * span).astype(np.int64)
-        np.minimum(offsets, span - 1, out=offsets)
-        rows = csr.indptr[pivot]
-        w = csr.indices[rows + offsets].astype(np.int64)
-        bump = w == other
-        if bump.any():
-            w[bump] = csr.indices[rows[bump] + pivot_degrees[bump] - 1]
-
-        # Kernel accept test on line degrees; rejected walkers stay.
-        accept_probabilities = kernel_move_probabilities(
-            spec, line_degrees, degrees[pivot] + degrees[w] - 2
-        )
-        if accept_probabilities is None:  # simple walk / rcmh at alpha=0
-            return pivot, w, (pivot, w)
-        accept = rng.random(u.size) < accept_probabilities
-        return (
-            np.where(accept, pivot, u),
-            np.where(accept, w, v),
-            (pivot, w),
-        )
+        group = FleetGroup(self.kernel, self._nprng, num_walkers, num_steps, burn_in)
+        (outcome,) = run_packed_line_fleets(self.csr, [group])
+        if isinstance(outcome, WalkError):
+            raise outcome
+        return outcome
 
 
-__all__ = ["LineFleetResult", "BatchedLineWalkEngine"]
+__all__ = ["LineFleetResult", "BatchedLineWalkEngine", "run_packed_line_fleets"]

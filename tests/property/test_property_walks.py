@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from repro.graph.labeled_graph import LabeledGraph
 from repro.walks.batched import (
     KernelSpec,
+    _scalar_pow,
     kernel_move_probabilities,
     kernel_stationary_weights,
-)
-from repro.walks.compiled import (
-    _accept_probability,
-    _scalar_pow,
-    has_accept_draw,
     pow_like_scalar,
 )
 from repro.walks.mixing import (
@@ -103,55 +99,11 @@ class TestMixingProperties:
 DEGREES = st.integers(1, 1_000_000)
 
 
-class TestCompiledScalarTwins:
-    """The compiled kernels' scalar accept/stationary formulas must agree
-    with the numpy engine's vectorized formulas to the last ULP — ``==``
-    on floats, no tolerance — or the two engines drift bit-wise.
-
-    Kernel ids mirror ``repro.walks.compiled._KERNEL_IDS``:
-    mhrw=2, rcmh=3, mdrw=4, gmd=5.
-    """
-
-    @given(du=DEGREES, dv=DEGREES)
-    @settings(max_examples=300, deadline=None)
-    def test_mhrw_accept_ulp_identical(self, du, dv):
-        expected = kernel_move_probabilities(
-            KernelSpec("mhrw"), np.array([du]), np.array([dv])
-        )
-        assert _accept_probability(2, du, dv, 0.0, 0.0, 0.0) == expected[0]
-
-    @given(du=DEGREES, dv=DEGREES, alpha=st.floats(0.001, 1.0))
-    @settings(max_examples=300, deadline=None)
-    @example(du=3, dv=7, alpha=0.5)  # numpy's ** 0.5 -> sqrt fast path
-    @example(du=7, dv=3, alpha=1.0)  # ...and its ** 1.0 -> identity path
-    def test_rcmh_accept_ulp_identical(self, du, dv, alpha):
-        spec = KernelSpec("rcmh", alpha=alpha)
-        expected = kernel_move_probabilities(
-            spec, np.array([du]), np.array([dv])
-        )
-        assert _accept_probability(3, du, dv, alpha, 0.0, 0.0) == expected[0]
-
-    @given(du=DEGREES, headroom=st.integers(0, 1_000_000))
-    @settings(max_examples=200, deadline=None)
-    def test_mdrw_accept_ulp_identical(self, du, headroom):
-        max_degree = float(du + headroom)
-        spec = KernelSpec("mdrw", max_degree=max_degree)
-        expected = kernel_move_probabilities(spec, np.array([du]), None)
-        assert _accept_probability(4, du, 0, 0.0, 0.0, max_degree) == expected[0]
-
-    @given(
-        du=DEGREES,
-        d_max=DEGREES,
-        delta=st.floats(0.001, 1.0),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_gmd_accept_ulp_identical(self, du, d_max, delta):
-        spec = KernelSpec("gmd", max_degree=float(d_max), delta=delta)
-        expected = kernel_move_probabilities(spec, np.array([du]), None)
-        assert (
-            _accept_probability(5, du, 0, 0.0, delta, float(d_max))
-            == expected[0]
-        )
+class TestScalarPowTwins:
+    """The libm-rounded power the vectorized engines use must agree with
+    the scalar tiers to the last ULP — ``==`` on floats, no tolerance —
+    or rcmh accept probabilities and stationary weights drift bit-wise
+    between the scalar and vectorized paths."""
 
     @given(degree=DEGREES, alpha=st.floats(0.0, 1.0))
     @settings(max_examples=300, deadline=None)
@@ -167,7 +119,7 @@ class TestCompiledScalarTwins:
     )
     @settings(max_examples=300, deadline=None)
     def test_scalar_pow_matches_vectorized_twin_and_python_pow(self, x, y):
-        """One pow, three tiers: the njit scalar, the numpy engine's
+        """One pow, three tiers: the scalar twin, the numpy engine's
         vectorized helper, and — for generic exponents — Python's ``**``
         (libm, what the scalar reference paths call) must agree to the
         bit.  At the 0.5/1.0/2.0 fast paths both helpers use sqrt /
@@ -180,10 +132,10 @@ class TestCompiledScalarTwins:
     @given(alpha=st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_accept_draw_consumption_matches_formula_table(self, alpha):
-        """Both engines draw an accept uniform iff the formula table
-        returns probabilities — the RNG-consumption contract."""
+        """A packed walk pre-draws an accept uniform iff the formula
+        table returns probabilities — the RNG-consumption contract."""
         spec = KernelSpec("rcmh", alpha=alpha)
         probabilities = kernel_move_probabilities(
             spec, np.array([3]), np.array([5])
         )
-        assert has_accept_draw(spec) == (probabilities is not None)
+        assert spec.draws_accept == (probabilities is not None)

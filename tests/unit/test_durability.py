@@ -202,6 +202,46 @@ class TestManifest:
         with pytest.raises(ArtifactCorruptError):
             verify_artifact(target, mode="sampled")
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/io"), reason="needs Linux per-process I/O counters"
+    )
+    def test_sampled_mode_reads_only_the_sampled_pages(self, tmp_path):
+        from repro.durability.manifest import PAGE_BYTES, SAMPLE_PAGES
+
+        target = tmp_path / "big.npz"
+        pages = 4 * SAMPLE_PAGES  # so sampling skips three quarters of each member
+        write_npz(
+            target,
+            {
+                "a": np.arange(pages * PAGE_BYTES // 8, dtype=np.int64),
+                "b": np.ones(pages * PAGE_BYTES // 8, dtype=np.float64),
+            },
+        )
+
+        def bytes_read():
+            with open("/proc/self/io") as counters:
+                for line in counters:
+                    if line.startswith("rchar:"):
+                        return int(line.split()[1])
+            raise AssertionError("no rchar in /proc/self/io")
+
+        before = bytes_read()
+        assert verify_artifact(target, mode="sampled") == "sampled"
+        read = bytes_read() - before
+        header_slack = 256 * 1024  # central directory, manifest, local headers
+        assert read <= 2 * SAMPLE_PAGES * PAGE_BYTES + header_slack, read
+
+    def test_sampled_mode_catches_damage_in_a_sampled_page(self, tmp_path):
+        from repro.durability.manifest import PAGE_BYTES
+
+        target = tmp_path / "big.npz"
+        write_npz(target, {"a": np.zeros(3 * PAGE_BYTES // 8, dtype=np.int64)})
+        raw = bytearray(target.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF  # page 1 of 3: every page is sampled
+        target.write_bytes(bytes(raw))
+        with pytest.raises(ArtifactCorruptError, match="page 1 digest mismatch"):
+            verify_artifact(target, mode="sampled")
+
     def test_legacy_artifact_without_manifest_is_unchecked(self, tmp_path):
         target = tmp_path / "legacy.npz"
         np.savez(target, **_arrays())
