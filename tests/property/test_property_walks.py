@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.walks.batched import (
+    FleetGroup,
     KernelSpec,
+    PackLayout,
     _scalar_pow,
+    accept_mask,
     kernel_move_probabilities,
     kernel_stationary_weights,
     pow_like_scalar,
@@ -139,3 +142,65 @@ class TestScalarPowTwins:
             spec, np.array([3]), np.array([5])
         )
         assert spec.draws_accept == (probabilities is not None)
+
+    def test_draws_accept_table(self):
+        assert not KernelSpec("simple").draws_accept
+        assert not KernelSpec("non_backtracking").draws_accept
+        assert not KernelSpec("rcmh", alpha=0.0).draws_accept
+        assert KernelSpec("rcmh", alpha=0.2).draws_accept
+        assert KernelSpec("mhrw").draws_accept
+        assert KernelSpec("mdrw", max_degree=8.0).draws_accept
+        assert KernelSpec("gmd", max_degree=8.0).draws_accept
+
+
+#: Kernels a pack may mix; equal specs share one accept test.
+PACK_KERNELS = st.sampled_from(
+    [
+        KernelSpec("simple"),
+        KernelSpec("non_backtracking"),
+        KernelSpec("mhrw"),
+        KernelSpec("rcmh", alpha=0.0),
+        KernelSpec("rcmh", alpha=0.3),
+        KernelSpec("rcmh", alpha=0.5),
+        KernelSpec("mdrw", max_degree=1000.0),
+        KernelSpec("gmd", max_degree=400.0, delta=0.5),
+    ]
+)
+
+
+class TestPackedAcceptTests:
+    @given(
+        groups=st.lists(
+            st.tuples(PACK_KERNELS, st.integers(1, 9), st.integers(1, 30)),
+            min_size=1,
+            max_size=6,
+        ),
+        retired=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_test_per_kernel_equals_per_group_tests(self, groups, retired, seed):
+        """A pack step's accept mask — one test per distinct kernel over
+        the active walkers — equals each group's own accept test, bit for
+        bit, whichever groups have retired."""
+        fleet = [
+            FleetGroup(spec, index, width, steps)
+            for index, (spec, width, steps) in enumerate(groups)
+        ]
+        layout = PackLayout(fleet, lambda spec: 1)
+        active = max(1, len(fleet) - retired)
+        phase = layout.phase(active)
+        rng = np.random.default_rng(seed)
+        current = rng.integers(1, 1001, size=phase.width)
+        proposal = rng.integers(1, 1001, size=phase.width)
+        uniforms = rng.random(layout.width)
+        mask = accept_mask(phase, current, proposal, uniforms)
+        assert mask.shape == (phase.width,)
+        for g in layout.order[:active]:
+            rows = layout.rows[g]
+            p = kernel_move_probabilities(fleet[g].kernel, current[rows], proposal[rows])
+            if p is None:
+                expected = np.ones(rows.stop - rows.start, dtype=bool)
+            else:
+                expected = uniforms[rows] < p
+            assert np.array_equal(mask[rows], expected), fleet[g].kernel

@@ -223,6 +223,16 @@ class TestNodePacks:
         for packed, expected in zip(run_packed_fleets(csr, groups), reference):
             _assert_node_equal(packed, expected)
 
+    def test_prefixes_equal_shorter_solo_fleets(self, csr):
+        """A packed group's prefix is the fleet walked to that length."""
+        groups = _groups(NODE_KERNELS, seed0=450)
+        for group, packed in zip(groups, run_packed_fleets(csr, groups)):
+            for num_steps in {1, group.num_steps // 2 or 1, group.num_steps}:
+                shorter = BatchedWalkEngine(
+                    csr, kernel=group.kernel, rng=group.rng
+                ).run_fleet(group.num_walkers, num_steps, burn_in=group.burn_in)
+                _assert_node_equal(packed.prefix(num_steps), shorter)
+
     def test_mdrw_failure_stays_in_its_group(self, csr):
         tight = KernelSpec("mdrw", max_degree=6.0)  # below the graph's max degree
         groups = _groups(NODE_KERNELS, seed0=500)
@@ -289,6 +299,16 @@ class TestLinePacks:
                 assert np.array_equal(packed.probed_src, probe_src)
                 assert np.array_equal(packed.probed_dst, probe_dst)
 
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_pack_of_one_is_the_solo_fleet(self, csr, width):
+        group = FleetGroup(KernelSpec("rcmh", alpha=0.2), 5, width, 90, 10)
+        [packed] = run_packed_line_fleets(csr, [group])
+        src, dst, (probe_src, probe_dst) = _oracle_line_fleet(csr, group)
+        assert np.array_equal(packed.src, src)
+        assert np.array_equal(packed.dst, dst)
+        assert np.array_equal(packed.probed_src, probe_src)
+        assert np.array_equal(packed.probed_dst, probe_dst)
+
     def test_results_do_not_depend_on_pack_mates_or_order(self, csr):
         groups = _groups(LINE_KERNELS, seed0=800)
         reference = run_packed_line_fleets(csr, groups)
@@ -296,6 +316,24 @@ class TestLinePacks:
         shuffled = run_packed_line_fleets(csr, [groups[i] for i in order])
         for position, index in enumerate(order):
             _assert_line_equal(shuffled[position], reference[index])
+
+    def test_wide_pack_shortens_the_chunk_but_not_the_stream(self, csr, monkeypatch):
+        import repro.walks.batched as batched
+
+        groups = _groups(LINE_KERNELS, seed0=850)
+        reference = run_packed_line_fleets(csr, groups)
+        monkeypatch.setattr(batched, "_PACK_CHUNK_DOUBLES", 50)
+        for packed, expected in zip(run_packed_line_fleets(csr, groups), reference):
+            _assert_line_equal(packed, expected)
+
+    def test_prefixes_equal_shorter_solo_fleets(self, csr):
+        groups = _groups(LINE_KERNELS, seed0=870)
+        for group, packed in zip(groups, run_packed_line_fleets(csr, groups)):
+            for num_steps in {1, group.num_steps // 2 or 1, group.num_steps}:
+                shorter = BatchedLineWalkEngine(
+                    csr, kernel=group.kernel, rng=group.rng
+                ).run_fleet(group.num_walkers, num_steps, burn_in=group.burn_in)
+                _assert_line_equal(packed.prefix(num_steps), shorter)
 
     def test_mdrw_failure_stays_in_its_group(self, csr):
         tight = KernelSpec("mdrw", max_degree=8.0)
