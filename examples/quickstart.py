@@ -62,9 +62,9 @@ def main() -> None:
               f"(k = {result.sample_size} samples, {result.api_calls} API calls, "
               f"relative error = {error:.3f})")
 
-    # The same estimation on the vectorized CSR backend: identical
-    # charged-API-call accounting, distributionally equivalent estimates,
-    # several times faster per walk step.  Freezing the graph into CSR
+    # The same estimation on the CSR backend: the same kernels stepped
+    # over frozen arrays, so the same estimates and charged-API-call
+    # accounting, faster per walk step.  Freezing the graph into CSR
     # arrays is a one-off cost, so the backend pays off on repeated
     # trials (tables, figures, sweeps) — which is how the experiment
     # harness uses it; a shared API wrapper amortises it here.

@@ -8,6 +8,10 @@
 # The slow tier holds the Kolmogorov-Smirnov backend-equivalence checks
 # and the estimator-unbiasedness checks, which walk many seeds and are
 # not needed on every edit-compile loop.
+#
+# The fast tier runs with ResourceWarnings as errors, unraisable ones
+# included: a leaked store publication warns from __del__, and this
+# makes it fail the test that leaks it rather than pass silently.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -15,7 +19,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 tier="${1:-all}"
 shift || true
 case "$tier" in
-  fast) exec python -m pytest -q -m "not slow" "$@" ;;
+  fast) exec python -m pytest -q -m "not slow" \
+          -W error::ResourceWarning \
+          -W error::pytest.PytestUnraisableExceptionWarning "$@" ;;
   slow) exec python -m pytest -q -m slow "$@" ;;
   all)  exec python -m pytest -q "$@" ;;
   *)    echo "usage: $0 [fast|slow|all] [pytest args...]" >&2; exit 2 ;;

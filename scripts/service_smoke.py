@@ -443,7 +443,7 @@ class ServeProcess:
                 sys.executable, "-m", "repro", "serve",
                 "--dataset", DATASET, "--scale", str(scale),
                 "--seed", str(SEED), "--graph-store", "ram",
-                "--port", "0", "--transport", "stdlib",
+                "--port", "0",
                 "--batch-window-ms", "2",
                 "--repetitions", str(REPETITIONS),
                 "--burn-in", str(BURN_IN),

@@ -28,14 +28,12 @@ and the CLI's ``--backend`` flag):
     auditable call by call and any transition kernel works.  Prefer it
     for correctness audits, small graphs, and the EX-* baselines.
 ``backend="csr"``
-    The vectorized backend: the graph is frozen once into numpy CSR
-    arrays (:class:`repro.graph.CSRGraph`) and walks run over raw index
-    arithmetic — roughly an order of magnitude faster per step, with
-    *identical* charged-API-call accounting (distinct page downloads)
-    and a distributionally equivalent sampling law, enforced by the
-    Kolmogorov–Smirnov equivalence test suite.  Prefer it for large
-    graphs, table/figure regeneration, and repeated trials.  Only the
-    simple and non-backtracking kernels are vectorized.
+    The array backend: the graph is frozen once into numpy CSR arrays
+    (:class:`repro.graph.CSRGraph`) and the reference kernels step over
+    its rows instead of through the wrapper — faster per step, with the
+    *same* samples and charged-API-call accounting at the same seed.
+    Prefer it for large graphs and repeated trials; fleets
+    (``execution="fleet"``) vectorize whole cells on the same arrays.
 
 >>> fast = estimate_target_edge_count(
 ...     dataset.graph, 1, 2,

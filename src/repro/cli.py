@@ -306,14 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default burn-in per query (default: measured on the graph)",
     )
     serve.add_argument(
-        "--transport",
-        choices=("auto", "fastapi", "stdlib"),
-        default="auto",
-        help="HTTP front: 'fastapi' (needs the optional dependency), "
-        "'stdlib' (dependency-free asyncio server), 'auto' prefers "
-        "fastapi and falls back",
-    )
-    serve.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
@@ -638,7 +630,6 @@ def _command_serve(args) -> int:
         cache_size=args.cache_size,
         repetitions=args.repetitions,
         burn_in=args.burn_in,
-        transport=args.transport,
         deadline_ms=args.deadline_ms,
         max_in_flight=args.max_in_flight,
         breaker_threshold=args.breaker_threshold,
@@ -669,7 +660,6 @@ def _command_serve(args) -> int:
             service,
             host=config.host,
             port=config.port,
-            transport=config.transport,
             window_seconds=config.window_seconds,
             max_in_flight=config.max_in_flight,
             deadline_ms=config.deadline_ms,

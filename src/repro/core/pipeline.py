@@ -188,13 +188,11 @@ def estimate_target_edge_count(
     backend:
         ``"python"`` (default) runs the dict-based reference walk engine
         through the restricted API.  ``"csr"`` freezes the graph into
-        numpy CSR arrays and runs the vectorized backend — typically an
-        order of magnitude faster, with identical charged-API-call
-        accounting and a distributionally equivalent sampling law (the
-        equivalence test suite enforces this).  Prefer
-        ``"csr"`` for large graphs and repeated trials; prefer
-        ``"python"`` when auditing API-call traces or using a
-        non-vectorized kernel.
+        numpy CSR arrays and replays the same kernel over them — faster
+        per step, with the same samples and charged-API-call accounting
+        at the same seed.  Prefer ``"csr"`` for large graphs and
+        repeated trials; prefer ``"python"`` when auditing API-call
+        traces call by call.
 
     Returns
     -------

@@ -9,11 +9,10 @@ estimator downstream is backend-agnostic.
 
 Fidelity guarantees:
 
-* ``exact_rng=True`` reproduces the reference sampler **bit for bit**:
-  same seed, same trajectory, same samples, same charged API calls.
-* ``exact_rng=False`` (default) uses the fast numpy-uniform walk; it has
-  the same per-step transition distribution, so estimates agree in
-  distribution (enforced by the Kolmogorov–Smirnov equivalence suite).
+* The walk is :func:`~repro.walks.batched.csr_walk`, which replays the
+  reference kernels over the CSR rows, so these functions reproduce the
+  reference sampler **bit for bit**: same seed, same trajectory, same
+  samples, same charged API calls.
 * Charged API calls are counted with the reference distinct-page
   semantics: one charge per distinct node whose neighbor-list page the
   process downloads (walk positions, plus — for NeighborExploration —
@@ -150,8 +149,7 @@ def _run_walk(
     total_steps: int,
     start_node: Optional[Node],
     rng: RandomSource,
-    kernel_name,
-    exact_rng: bool,
+    kernel: KernelLike,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Walk ``total_steps`` steps; return ``(positions, downloaded_pages)``.
 
@@ -163,17 +161,15 @@ def _run_walk(
     consecutive ``neighbors(current)`` calls), so budget-crossing
     accounting stays faithful even for rejected proposals.
     """
-    # Normalise the rng up front so the start draw and the walk consume
-    # one generator (draw_start_index mirrors RestrictedGraphAPI.random_node
-    # in exact mode).
-    generator = ensure_rng(rng) if exact_rng else ensure_numpy_rng(rng)
+    # Normalise the rng up front so the start draw (which mirrors
+    # RestrictedGraphAPI.random_node) and the walk consume one generator.
+    generator = ensure_rng(rng)
     if start_node is None:
-        start = draw_start_index(csr, generator, exact_rng=exact_rng)
+        start = draw_start_index(csr, generator)
     else:
         start = csr.index_of(start_node)
     path, probes = csr_walk(
-        csr, total_steps, start, generator, kernel_name,
-        exact_rng=exact_rng, return_probes=True,
+        csr, total_steps, start, generator, kernel, return_probes=True
     )
     full = np.concatenate(([start], path))
     if probes is None:
@@ -216,7 +212,6 @@ def sample_edges_csr(
     kernel: KernelLike = "simple",
     start_node: Optional[Node] = None,
     budget: Optional[int] = None,
-    exact_rng: bool = False,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
     page_filter: Optional[np.ndarray] = None,
@@ -233,8 +228,7 @@ def sample_edges_csr(
     """
     check_positive_int(k, "k")
     check_non_negative_int(burn_in, "burn_in")
-    spec = resolve_kernel_spec(kernel)
-    full, pages = _run_walk(csr, burn_in + k, start_node, rng, spec, exact_rng)
+    full, pages = _run_walk(csr, burn_in + k, start_node, rng, kernel)
 
     sources = full[burn_in : burn_in + k]
     dests = full[burn_in + 1 :]
@@ -285,7 +279,6 @@ def explore_nodes_csr(
     kernel: KernelLike = "simple",
     start_node: Optional[Node] = None,
     budget: Optional[int] = None,
-    exact_rng: bool = False,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
     page_filter: Optional[np.ndarray] = None,
@@ -302,8 +295,7 @@ def explore_nodes_csr(
     """
     check_positive_int(k, "k")
     check_non_negative_int(burn_in, "burn_in")
-    spec = resolve_kernel_spec(kernel)
-    full, walk_pages = _run_walk(csr, burn_in + k, start_node, rng, spec, exact_rng)
+    full, walk_pages = _run_walk(csr, burn_in + k, start_node, rng, kernel)
 
     collected = full[burn_in + 1 :]
     m1 = csr.label_mask(t1)
@@ -354,7 +346,6 @@ def run_csr_sampler(
     kernel: KernelLike,
     rng: RandomSource,
     start_node: Optional[Node],
-    exact_rng: bool,
 ):
     """Run a CSR sampling function through a :class:`RestrictedGraphAPI`.
 
@@ -394,7 +385,6 @@ def run_csr_sampler(
             kernel=kernel,
             start_node=start_node,
             budget=remaining,
-            exact_rng=exact_rng,
             known_num_nodes=api.num_nodes,
             known_num_edges=api.num_edges,
             page_filter=api.downloaded_page_mask(),

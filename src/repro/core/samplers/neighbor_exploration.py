@@ -49,12 +49,9 @@ class NeighborExplorationSampler:
         Seed or generator.
     backend:
         ``"python"`` (default) for the dict-based reference engine,
-        ``"csr"`` for the vectorized numpy backend (same charged-call
-        accounting, distributionally equivalent samples; simple and
-        non-backtracking kernels only).
-    exact_rng:
-        With ``backend="csr"``, reproduce the reference engine's random
-        stream bit for bit (same seed, same samples).
+        ``"csr"`` to replay the same kernel over frozen CSR arrays (same
+        seed, same samples and charged calls; every kernel of
+        :mod:`repro.walks.kernels` is supported).
     """
 
     def __init__(
@@ -66,7 +63,6 @@ class NeighborExplorationSampler:
         kernel: Optional[TransitionKernel] = None,
         rng: RandomSource = None,
         backend: str = "python",
-        exact_rng: bool = False,
     ) -> None:
         self.api = api
         self.t1 = t1
@@ -74,7 +70,6 @@ class NeighborExplorationSampler:
         self.burn_in = check_non_negative_int(burn_in, "burn_in")
         self.kernel = kernel if kernel is not None else SimpleRandomWalkKernel()
         self.backend = validate_backend_and_kernel(backend, self.kernel)
-        self.exact_rng = exact_rng
         self._rng = ensure_rng(rng)
 
     # ------------------------------------------------------------------
@@ -130,7 +125,6 @@ class NeighborExplorationSampler:
             kernel=self.kernel,
             rng=self._rng,
             start_node=start_node,
-            exact_rng=self.exact_rng,
         )
 
     # ------------------------------------------------------------------

@@ -64,15 +64,10 @@ class NeighborSampleSampler:
         Seed or generator.
     backend:
         ``"python"`` (default) walks the dict-based reference engine
-        through the restricted API; ``"csr"`` walks frozen numpy arrays
-        (:mod:`repro.core.samplers.csr_backend`) with identical
-        charged-call accounting and a distributionally equivalent
-        sampling law.  Only the simple and non-backtracking kernels are
-        vectorized.
-    exact_rng:
-        With ``backend="csr"``, consume random bits exactly like the
-        reference engine so the same seed reproduces its samples
-        verbatim (slower than the default numpy-uniform fast path).
+        through the restricted API; ``"csr"`` replays the same kernel
+        over frozen CSR arrays (:mod:`repro.core.samplers.csr_backend`),
+        so the same seed gives the same samples and charged calls.
+        Every kernel of :mod:`repro.walks.kernels` is supported on both.
     """
 
     def __init__(
@@ -84,7 +79,6 @@ class NeighborSampleSampler:
         kernel: Optional[TransitionKernel] = None,
         rng: RandomSource = None,
         backend: str = "python",
-        exact_rng: bool = False,
     ) -> None:
         self.api = api
         self.t1 = t1
@@ -94,7 +88,6 @@ class NeighborSampleSampler:
         if self.kernel.stationary_weight is None:  # pragma: no cover - defensive
             raise ConfigurationError("kernel must expose stationary weights")
         self.backend = validate_backend_and_kernel(backend, self.kernel)
-        self.exact_rng = exact_rng
         self._rng = ensure_rng(rng)
 
     # ------------------------------------------------------------------
@@ -140,7 +133,6 @@ class NeighborSampleSampler:
             kernel=self.kernel,
             rng=self._rng,
             start_node=start_node,
-            exact_rng=self.exact_rng,
         )
 
     # ------------------------------------------------------------------

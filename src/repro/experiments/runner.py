@@ -260,7 +260,6 @@ def run_trials(
             seed,
             true_count,
             csr,
-            backend,
         )
     if execution == "fleet" and isinstance(runner, BaselineRunner):
         return _run_trials_fleet_baseline(
@@ -275,7 +274,6 @@ def run_trials(
             seed,
             true_count,
             csr,
-            backend,
         )
     if isinstance(graph, CSRGraph):
         raise ConfigurationError(
@@ -315,7 +313,6 @@ def _run_trials_fleet(
     seed: RandomSource,
     true_count: int,
     csr: Optional[CSRGraph],
-    backend: str = "python",
 ) -> TrialOutcome:
     """One (algorithm, budget) cell as a single vectorized walker fleet.
 
@@ -356,7 +353,6 @@ def _run_trials_fleet_baseline(
     seed: RandomSource,
     true_count: int,
     csr: Optional[CSRGraph],
-    backend: str = "python",
 ) -> TrialOutcome:
     """One EX-* (algorithm, budget) cell as a single line-graph fleet.
 
@@ -399,7 +395,6 @@ def run_trials_prefix(
     seed: RandomSource = None,
     true_count: Optional[int] = None,
     csr: Optional[CSRGraph] = None,
-    backend: str = "csr",
 ) -> List[TrialOutcome]:
     """Every budget column of one algorithm from a single max-budget fleet.
 
@@ -435,16 +430,11 @@ def run_trials_prefix(
     with the frequency sweeps and the :mod:`repro.service`
     micro-batcher; this function is the table-shaped wrapper (one pair,
     many budgets, :class:`TrialOutcome` rows).
-
-    *backend* is validated for interface symmetry with
-    :func:`run_trials`; the fleet always walks on the vectorized CSR
-    engine.
     """
     if not sample_sizes:
         raise ConfigurationError("sample_sizes must not be empty")
     for sample_size in sample_sizes:
         check_positive_int(sample_size, "sample_size")
-    validate_backend(backend)
     if true_count is None:
         true_count = count_target_edges(graph, t1, t2)
     if true_count <= 0:
@@ -663,7 +653,6 @@ def compare_algorithms(
                 seed=_derive_group_seed(seed, name),
                 true_count=true_count,
                 csr=shared_csr,
-                backend=backend if backend != "python" else "csr",
             )
             for column, outcome in enumerate(row):
                 fresh = (name, column) not in outcomes

@@ -16,7 +16,7 @@ Representation notes:
   whenever ``num_nodes < 2**31`` — half the adjacency footprint at
   LiveJournal scale.  The dtype is invisible to the walk engines (node
   positions are upcast to ``int64`` on the fly) and does not change any
-  random draw, so exact-RNG replay equivalence is preserved.
+  random draw, so replay equivalence with the dict engine is preserved.
 * ``node_ids=None`` declares the identity mapping (node ``i`` *is*
   index ``i``), which is what the CSR-native generators produce; no
   per-node Python objects are allocated in that case.
@@ -34,9 +34,8 @@ graph the view was frozen from:
   :meth:`LabeledGraph.neighbors`, which is the order
   ``random.Random.choice`` indexes into on the reference path.
 
-Together they let the exact-RNG walk mode reproduce the dict engine
-step for step from the same seed (see
-:func:`repro.walks.batched.csr_walk`).
+Together they let the scalar CSR walk reproduce the dict engine step
+for step from the same seed (see :func:`repro.walks.batched.csr_walk`).
 """
 
 from __future__ import annotations

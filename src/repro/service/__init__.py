@@ -22,9 +22,8 @@ Layering (each piece is independently testable):
 * :mod:`repro.service.batcher` — :class:`MicroBatcher`, the asyncio
   front: collects in-flight requests over a short window and hands the
   batch to the service off the event loop.
-* :mod:`repro.service.http` — transports: a dependency-free asyncio
-  HTTP server (always available) and a FastAPI app factory (gated on
-  the optional dependency).
+* :mod:`repro.service.http` — :class:`ServiceHTTPServer`, a
+  dependency-free asyncio HTTP server.
 * :mod:`repro.service.config` — :class:`ServiceConfig`, the validated
   knob set behind ``repro-osn serve``.
 
@@ -38,7 +37,7 @@ from repro.service.batcher import MicroBatcher
 from repro.service.cache import AnswerCache
 from repro.service.config import ServiceConfig
 from repro.service.core import EstimateAnswer, EstimateQuery, EstimationService
-from repro.service.http import ServiceHTTPServer, create_fastapi_app, run_server
+from repro.service.http import ServiceHTTPServer, run_server
 from repro.service.planner import FleetPlan, plan_queries
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "MicroBatcher",
     "ServiceConfig",
     "ServiceHTTPServer",
-    "create_fastapi_app",
     "plan_queries",
     "run_server",
 ]

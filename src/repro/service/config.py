@@ -21,9 +21,6 @@ from repro.utils.validation import (
     check_positive_int,
 )
 
-TRANSPORTS = ("auto", "fastapi", "stdlib")
-
-
 @dataclass
 class ServiceConfig:
     """Everything ``repro-osn serve`` needs to boot a server.
@@ -73,7 +70,6 @@ class ServiceConfig:
     cache_size: int = 1024
     repetitions: int = 20
     burn_in: Optional[int] = None
-    transport: str = "auto"
     include_baselines: bool = True
     deadline_ms: Optional[float] = None
     max_in_flight: Optional[int] = None
@@ -107,11 +103,6 @@ class ServiceConfig:
         check_positive_int(self.repetitions, "repetitions")
         if self.burn_in is not None:
             check_non_negative_int(self.burn_in, "burn_in")
-        if self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport {self.transport!r}; "
-                f"choose one of {', '.join(TRANSPORTS)}"
-            )
         if self.deadline_ms is not None:
             check_positive(self.deadline_ms, "deadline_ms")
         if self.max_in_flight is not None:
@@ -142,4 +133,4 @@ class ServiceConfig:
         return self.snapshot_interval_ms / 1000.0
 
 
-__all__ = ["ServiceConfig", "TRANSPORTS"]
+__all__ = ["ServiceConfig"]

@@ -156,7 +156,7 @@ class EstimateAnswer:
         return nrmse(self.estimates, self.true_count)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready payload for the HTTP transports."""
+        """JSON-ready payload for the HTTP server."""
         return {
             "algorithm": self.algorithm,
             "t1": self.t1,

@@ -1,18 +1,10 @@
-"""HTTP transports for the estimation service.
+"""HTTP front for the estimation service.
 
-Two interchangeable fronts over the same :class:`EstimationService` +
-:class:`MicroBatcher` pair:
-
-* :class:`ServiceHTTPServer` — a dependency-free asyncio HTTP/1.1
-  server (``asyncio.start_server`` + a minimal request parser).  It is
-  the transport the test suite and the CI smoke job use, and the
-  fallback ``repro-osn serve`` boots when FastAPI/uvicorn are absent;
-  it speaks exactly the three endpoints below and nothing else.
-* :func:`create_fastapi_app` — a FastAPI application factory, gated on
-  the optional dependency (raises
-  :class:`~repro.exceptions.ConfigurationError` with an actionable
-  message when ``fastapi`` is not importable).  Same endpoints, same
-  payloads; pointing uvicorn at it gives the production front.
+:class:`ServiceHTTPServer` serves an :class:`EstimationService` +
+:class:`MicroBatcher` pair over a dependency-free asyncio HTTP/1.1
+server (``asyncio.start_server`` + a minimal request parser).  It is
+what ``repro-osn serve``, the test suite and the CI smoke jobs run, and
+it speaks exactly the three endpoints below and nothing else.
 
 Endpoints:
 
@@ -58,7 +50,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.exceptions import (
     CircuitOpenError,
-    ConfigurationError,
     DeadlineExceededError,
     ReproError,
     ServiceOverloadedError,
@@ -92,7 +83,7 @@ def _service_stats(service: EstimationService, batcher: MicroBatcher) -> Dict:
 
 
 def _health_payload(service: EstimationService, batcher: MicroBatcher) -> Dict:
-    """Compose engine health with the transport's queue state."""
+    """Compose engine health with the server's queue state."""
     health = service.health()
     if batcher.admission is not None:
         depth = batcher.admission.depth
@@ -112,7 +103,7 @@ async def _dispatch(
     path: str,
     body: bytes,
 ) -> Response:
-    """Route one request; shared by both transports' error contract."""
+    """Route one request to the engine and map errors to HTTP statuses."""
     if method == "GET" and path == "/healthz":
         return 200, _health_payload(service, batcher), {}
     if method == "GET" and path == "/stats":
@@ -154,7 +145,7 @@ class ServiceHTTPServer:
 
     Binds lazily in :meth:`start` (``port=0`` picks a free port, read
     it back from :attr:`port`) and owns a :class:`MicroBatcher` so
-    every transport instance batches independently.  *max_in_flight*
+    every server instance batches independently.  *max_in_flight*
     and *deadline_ms* configure the batcher's admission control and
     default per-query deadline (both off by default).
     """
@@ -249,66 +240,10 @@ class ServiceHTTPServer:
         return await _dispatch(self.service, self.batcher, method, path, body)
 
 
-def create_fastapi_app(
-    service: EstimationService,
-    window_seconds: float = 0.005,
-    max_in_flight: Optional[int] = None,
-    deadline_ms: Optional[float] = None,
-):
-    """Build the FastAPI application (requires the optional dependency).
-
-    Raises :class:`ConfigurationError` when ``fastapi`` is not
-    installed, so ``repro-osn serve --transport fastapi`` fails with an
-    actionable message instead of an ImportError traceback; the
-    ``auto`` transport falls back to :class:`ServiceHTTPServer`.
-    """
-    try:
-        from fastapi import FastAPI
-        from fastapi.responses import JSONResponse
-    except ImportError as exc:
-        raise ConfigurationError(
-            "fastapi is not installed; install it (pip install fastapi uvicorn) "
-            "or use the dependency-free transport (--transport stdlib)"
-        ) from exc
-
-    batcher = MicroBatcher(
-        service,
-        window_seconds,
-        max_in_flight=max_in_flight,
-        default_deadline_seconds=(
-            deadline_ms / 1000.0 if deadline_ms is not None else None
-        ),
-    )
-    app = FastAPI(title="repro-osn estimation service")
-    app.state.service = service
-    app.state.batcher = batcher
-
-    @app.get("/healthz")
-    async def healthz():  # pragma: no cover - exercised only with fastapi
-        return _health_payload(service, batcher)
-
-    @app.get("/stats")
-    async def stats():  # pragma: no cover - exercised only with fastapi
-        return _service_stats(service, batcher)
-
-    @app.post("/estimate")
-    async def estimate(payload: dict):  # pragma: no cover - ditto
-        body = json.dumps(payload).encode("utf-8")
-        status, response, headers = await _dispatch(
-            service, batcher, "POST", "/estimate", body
-        )
-        if status == 200:
-            return response
-        return JSONResponse(status_code=status, content=response, headers=headers)
-
-    return app
-
-
 def run_server(
     service: EstimationService,
     host: str = "127.0.0.1",
     port: int = 8000,
-    transport: str = "auto",
     window_seconds: float = 0.005,
     max_in_flight: Optional[int] = None,
     deadline_ms: Optional[float] = None,
@@ -316,13 +251,7 @@ def run_server(
 ) -> None:
     """Run the service until interrupted (the ``repro-osn serve`` core).
 
-    ``transport="fastapi"`` requires fastapi + uvicorn; ``"stdlib"``
-    always works; ``"auto"`` prefers fastapi when importable and falls
-    back silently — the container images this repo targets ship
-    without either extra, so ``auto`` normally lands on the stdlib
-    server.
-
-    The stdlib transport installs ``SIGTERM`` / ``SIGINT`` handlers for
+    The server installs ``SIGTERM`` / ``SIGINT`` handlers for
     **graceful shutdown**: stop accepting connections, drain the
     micro-batch window (in-flight queries get their answers), snapshot
     the answer cache, exit 0.  A ``SIGKILL`` skips all of that and the
@@ -330,30 +259,6 @@ def run_server(
     *snapshot_interval_seconds* (with the service's ``snapshot_path``)
     enables that timer.
     """
-    if transport not in ("auto", "fastapi", "stdlib"):
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; choose auto, fastapi, or stdlib"
-        )
-    if transport in ("auto", "fastapi"):
-        try:
-            import uvicorn  # noqa: F401
-
-            app = create_fastapi_app(
-                service,
-                window_seconds,
-                max_in_flight=max_in_flight,
-                deadline_ms=deadline_ms,
-            )
-        except (ImportError, ConfigurationError):
-            if transport == "fastapi":
-                raise ConfigurationError(
-                    "transport='fastapi' needs fastapi and uvicorn installed; "
-                    "use --transport stdlib for the dependency-free server"
-                )
-        else:  # pragma: no cover - needs uvicorn installed
-            uvicorn.run(app, host=host, port=port)
-            return
-
     async def _serve() -> None:
         server = ServiceHTTPServer(
             service,
@@ -366,7 +271,7 @@ def run_server(
         await server.start()
         print(
             f"repro-osn serve: listening on http://{server.host}:{server.port} "
-            f"(stdlib transport, graph version {service.graph_version})",
+            f"(graph version {service.graph_version})",
             flush=True,
         )
         loop = asyncio.get_running_loop()
@@ -426,4 +331,4 @@ def run_server(
     asyncio.run(_serve())
 
 
-__all__ = ["ServiceHTTPServer", "create_fastapi_app", "run_server"]
+__all__ = ["ServiceHTTPServer", "run_server"]

@@ -1,13 +1,11 @@
-"""Vectorized random walks over a :class:`~repro.graph.csr.CSRGraph`.
+"""Random walks over a :class:`~repro.graph.csr.CSRGraph`.
 
 Two execution styles live here, both sharing the CSR arrays:
 
-* :func:`csr_walk` — one walker, a tight scalar loop.  In its default
-  *fast* mode it consumes pre-drawn numpy uniforms; in *exact-RNG* mode
-  it reproduces the reference dict engine
-  (:class:`repro.walks.engine.RandomWalk`) **step for step from the same
-  seed**, by consuming ``random.Random`` bits exactly the way
-  ``rng.choice`` does.
+* :func:`csr_walk` — one walker, replaying the reference kernels of
+  :mod:`repro.walks.kernels` over the CSR rows: each step is the kernel
+  object's own ``step``, so a seeded walk equals the reference dict
+  engine (:class:`repro.walks.engine.RandomWalk`) **step for step**.
 * :class:`BatchedWalkEngine` — ``N`` independent walkers advanced one
   numpy-vectorized step at a time, for throughput workloads (fleet
   simulation, variance studies, benchmarks).  It walks as a pack of
@@ -20,9 +18,9 @@ Both support every kernel of :mod:`repro.walks.kernels`: the two
 degree-stationary kernels the paper's proposed algorithms use
 (``simple``, ``non_backtracking``) *and* the four accept/reject
 baseline kernels of the EX-* adaptations (``mhrw``, ``mdrw``,
-``rcmh``, ``gmd``), whose acceptance tests are applied as one
-vectorized accept/reject mask with stay-in-place (self-loop)
-semantics on rejection.  Charged API calls follow the same
+``rcmh``, ``gmd``), which stay in place (self-loop) on rejection; the
+batched engine applies their acceptance tests as one vectorized
+accept/reject mask.  Charged API calls follow the same
 distinct-page-download semantics as
 :class:`repro.graph.api.RestrictedGraphAPI` with caching on: fetching
 a page (neighbor list) of a node is charged once per distinct node,
@@ -38,8 +36,8 @@ Buffer stores: the batched engine reads the graph only through numpy
 so it runs unchanged over shared-memory or memory-mapped CSR buffers
 (:mod:`repro.graph.store`) — a memmapped adjacency faults in just the
 pages the fleet touches and is never densified.  Only the scalar
-single-walker paths (:func:`csr_walk`) materialise Python adjacency
-lists via :meth:`CSRGraph.adjacency_lists`; whole-array label passes
+single-walker path (:func:`csr_walk`) materialises Python adjacency
+lists via :meth:`CSRGraph.neighbor_rows`; whole-array label passes
 use the chunked-gather fallback documented on
 :meth:`CSRGraph.neighbor_mask_counts`.
 """
@@ -67,6 +65,15 @@ from repro.utils.validation import (
     check_positive_int,
 )
 from repro.walks.engine import WalkResult
+from repro.walks.kernels import (
+    GeneralMaximumDegreeKernel,
+    MaximumDegreeKernel,
+    MetropolisHastingsKernel,
+    NonBacktrackingKernel,
+    RejectionControlledMHKernel,
+    SimpleRandomWalkKernel,
+    TransitionKernel,
+)
 
 #: The kernels whose stationary law is proportional to degree — the
 #: walks the paper's proposed algorithms run.
@@ -225,8 +232,8 @@ def pow_like_scalar(values, exponent: float) -> np.ndarray:
 
     numpy's vectorized float64 power loop may come from a SIMD
     implementation that disagrees with libm ``pow`` by 1 ULP on some
-    inputs (machine-dependent), while every scalar tier — Python
-    ``**``, the reference kernels and the per-step CSR loops — calls
+    inputs (machine-dependent), while the scalar tier — Python ``**``
+    in the reference kernels, which :func:`csr_walk` replays — calls
     libm.  The vectorized engines route their generic powers through
     this helper so all tiers compute the same accept probabilities bit
     for bit: the correctly-rounded exponents (1, 2, 0.5) vectorize
@@ -257,10 +264,9 @@ def kernel_move_probabilities(
 ) -> Optional[np.ndarray]:
     """Per-walker probability of accepting the drawn candidate.
 
-    The canonical formula table, shared by every *vectorized*
-    accept/reject path (packed node and line-graph fleets; the scalar
-    per-step loops in ``_walk_exact`` / ``_walk_fast`` inline the same
-    formulas for speed — keep them in sync):
+    The array twin of the reference kernels' accept tests in
+    :mod:`repro.walks.kernels`, shared by every vectorized
+    accept/reject path (packed node and line-graph fleets):
 
     * ``mhrw`` — ``min(1, d(u)/d(v))``
     * ``rcmh`` — ``min(1, (d(u)/d(v))**alpha)`` (``alpha=0``: always)
@@ -328,49 +334,73 @@ def _isolated_error(index: int, csr: CSRGraph) -> WalkError:
 
 
 # ----------------------------------------------------------------------
-# exact-RNG draw contract
+# single-walker scalar path: the reference kernels over array rows
 # ----------------------------------------------------------------------
-def exact_randbelow(generator):
-    """The index source of ``random.Random.choice``, as a bound callable.
+def _reference_kernel(spec: KernelSpec) -> TransitionKernel:
+    """The :mod:`repro.walks.kernels` object *spec* describes."""
+    name = spec.name
+    if name == "simple":
+        return SimpleRandomWalkKernel()
+    if name == "non_backtracking":
+        return NonBacktrackingKernel()
+    if name == "mhrw":
+        return MetropolisHastingsKernel()
+    if name == "mdrw":
+        return MaximumDegreeKernel(spec.max_degree)
+    if name == "rcmh":
+        return RejectionControlledMHKernel(spec.alpha)
+    return GeneralMaximumDegreeKernel(spec.max_degree, spec.delta)
 
-    ``choice(seq)`` is ``seq[rng._randbelow(len(seq))]``; consuming
-    ``_randbelow`` directly keeps the bit stream aligned with the dict
-    engine.  Defined once so every exact-RNG replay path shares the same
-    consumption contract (with a ``randrange`` fallback should CPython
-    ever drop the private method).
+
+class _RowPages:
+    """List-backed neighbor provider the reference kernels step over.
+
+    ``neighbors(u)`` is the CSR row of node index ``u``.  ``degree(v)``
+    is only ever called by the MH-family kernels, on their proposal, to
+    evaluate the acceptance ratio — exactly the page download the
+    ledgers must charge even when the proposal is rejected — so every
+    call is logged in :attr:`probes`.
     """
-    randbelow = getattr(generator, "_randbelow", None)
-    if randbelow is None:  # pragma: no cover - future-proofing
-        return generator.randrange
-    return randbelow
+
+    __slots__ = ("neighbors", "_degrees", "probes")
+
+    def __init__(self, csr: CSRGraph) -> None:
+        self.neighbors = csr.neighbor_rows().__getitem__
+        self._degrees = csr.adjacency_lists()[2]
+        self.probes: List[int] = []
+
+    def degree(self, node: int) -> int:
+        self.probes.append(node)
+        return self._degrees[node]
 
 
-def draw_start_index(csr: CSRGraph, rng, exact_rng: bool = False) -> int:
+def draw_start_index(csr: CSRGraph, rng: RandomSource) -> int:
     """Uniform start index for a walk.
 
-    In exact mode this consumes the generator exactly like
-    :meth:`RestrictedGraphAPI.random_node` (one ``choice`` over the node
-    list), so seeded replays of the reference pipeline stay aligned.
+    Consumes the generator exactly like
+    :meth:`RestrictedGraphAPI.random_node` (one ``choice`` over the
+    node list), so seeded replays of the reference pipeline stay
+    aligned.
     """
     _check_not_empty(csr)
-    if exact_rng:
-        return exact_randbelow(ensure_rng(rng))(csr.num_nodes)
-    return int(ensure_numpy_rng(rng).integers(csr.num_nodes))
+    return ensure_rng(rng).choice(range(csr.num_nodes))
 
 
-# ----------------------------------------------------------------------
-# single-walker scalar paths
-# ----------------------------------------------------------------------
 def csr_walk(
     csr: CSRGraph,
     num_steps: int,
     start: Optional[int] = None,
     rng: RandomSource = None,
     kernel: KernelLike = "simple",
-    exact_rng: bool = False,
     return_probes: bool = False,
 ) -> np.ndarray:
     """Run one walker for *num_steps* steps; return the node index after each.
+
+    The walk *is* the reference engine: each step calls the
+    :mod:`repro.walks.kernels` object's own ``step`` over the CSR rows,
+    so the same seed yields the same trajectory as
+    :class:`repro.walks.engine.RandomWalk` over a
+    :class:`RestrictedGraphAPI` of the same graph, for every kernel.
 
     Parameters
     ----------
@@ -382,18 +412,13 @@ def csr_walk(
         Starting node *index*; drawn uniformly from the rng when omitted
         (mirroring :meth:`RestrictedGraphAPI.random_node`).
     rng:
-        Seed / generator.  Fast mode draws from a numpy generator; exact
-        mode from a :class:`random.Random`.
+        Seed or generator, normalised to a :class:`random.Random` (a
+        numpy generator seeds one).
     kernel:
         Any supported kernel (name, :class:`KernelSpec`, or kernel
         instance); the MD/GMD kernels need their ``max_degree`` knob, so
-        pass those as instances or specs rather than bare names.
-    exact_rng:
-        When true, consume ``random.Random`` bits exactly like the
-        reference engine, so the same seed yields the same trajectory as
-        :class:`repro.walks.engine.RandomWalk` over a
-        :class:`RestrictedGraphAPI` of the same graph — for every
-        kernel, the baselines' accept/reject ones included.
+        pass those as instances or specs rather than bare names.  Errors
+        the kernel raises mid-walk name CSR indices.
     return_probes:
         When true, return ``(path, probes)`` instead of just the path,
         where *probes* is the per-step proposal drawn by an MH-family
@@ -405,167 +430,30 @@ def csr_walk(
     check_non_negative_int(num_steps, "num_steps")
     _check_not_empty(csr)
     spec = resolve_kernel_spec(kernel)
-    if exact_rng:
-        path, probes = _walk_exact(csr, num_steps, start, ensure_rng(rng), spec)
-    else:
-        path, probes = _walk_fast(csr, num_steps, start, ensure_numpy_rng(rng), spec)
-    return (path, probes) if return_probes else path
-
-
-def _walk_exact(csr, num_steps, start, generator, spec):
-    randbelow = exact_randbelow(generator)
-    random = generator.random
-    indptr, indices, degrees = csr.adjacency_lists()
+    # Kernel instances pass through; names and specs build their object.
+    walker = kernel if isinstance(kernel, TransitionKernel) else _reference_kernel(spec)
+    generator = ensure_rng(rng)
     if start is None:
-        start = randbelow(csr.num_nodes)
+        start = draw_start_index(csr, generator)
     # Only the start can be isolated: every later position is someone's
-    # neighbor, so its degree is >= 1 and the hot loops skip the check.
-    if num_steps and degrees[start] == 0:
+    # neighbor, so this check names the node id where the kernel's own
+    # check could only name an index.
+    if num_steps and csr.degrees[start] == 0:
         raise _isolated_error(start, csr)
+    pages = _RowPages(csr)
+    step = walker.step
     u = start
-    out: List[int] = []
-    append = out.append
-    kernel_name = spec.name
-    if kernel_name == "rcmh" and spec.alpha == 0.0:
-        # The reference kernel short-circuits to an unconditional move
-        # without consuming the accept draw — exactly the simple walk.
-        kernel_name = "simple"
-    if kernel_name == "simple":
-        for _ in range(num_steps):
-            u = indices[indptr[u] + randbelow(degrees[u])]
-            append(u)
-    elif kernel_name == "non_backtracking":
-        prev = None
-        for _ in range(num_steps):
-            lo = indptr[u]
-            deg = degrees[u]
-            if deg == 1:
-                nxt = indices[lo]  # dead end: backtracking, no rng consumed
-            else:
-                # When prev is not a neighbor the first draw already
-                # differs from it, so the rejection loop alone replicates
-                # both kernel branches with identical rng consumption.
-                nxt = indices[lo + randbelow(deg)]
-                while nxt == prev:
-                    nxt = indices[lo + randbelow(deg)]
-            prev, u = u, nxt
-            append(u)
-    elif kernel_name in ("mhrw", "rcmh"):
-        # Reference consumption: choice(neighbors) then random() for the
-        # accept test (degree(proposal) consumes no rng).  Accept
-        # formulas inline kernel_move_probabilities — the canonical
-        # table — because this is a per-step hot loop.
-        alpha = spec.alpha if kernel_name == "rcmh" else 1.0
-        probes: List[int] = []
-        for _ in range(num_steps):
-            deg = degrees[u]
-            proposal = indices[indptr[u] + randbelow(deg)]
-            probes.append(proposal)
-            ratio = deg / degrees[proposal]
-            accept = min(1.0, ratio if alpha == 1.0 else ratio**alpha)
-            if random() < accept:
-                u = proposal
-            append(u)
-        return (
-            np.asarray(out, dtype=np.int64),
-            np.asarray(probes, dtype=np.int64),
-        )
-    else:  # mdrw / gmd: random() for the move test, then choice on moves
-        max_degree = spec.max_degree
-        delta = spec.delta if kernel_name == "gmd" else 1.0
-        for _ in range(num_steps):
-            deg = degrees[u]
-            if kernel_name == "mdrw" and deg > max_degree:
-                raise WalkError(
-                    f"walk reached a node of degree {deg} > "
-                    f"max_degree={max_degree}"
-                )
-            if random() < deg / max(deg, delta * max_degree):
-                u = indices[indptr[u] + randbelow(deg)]
-            append(u)
-    return np.asarray(out, dtype=np.int64), None
-
-
-def _walk_fast(csr, num_steps, start, nprng, spec):
-    indptr, indices, degrees = csr.adjacency_lists()
-    if start is None:
-        start = int(nprng.integers(csr.num_nodes))
-    # Only the start can be isolated (see _walk_exact).
-    if num_steps and degrees[start] == 0:
-        raise _isolated_error(start, csr)
-    uniforms = nprng.random(num_steps).tolist()
-    u = start
-    out: List[int] = []
-    append = out.append
-    kernel_name = spec.name
-    if kernel_name == "rcmh" and spec.alpha == 0.0:
-        kernel_name = "simple"  # every proposal accepted, no accept draw
-    if kernel_name == "simple":
-        rows = csr.neighbor_rows()
-        for r in uniforms:
-            row = rows[u]
-            offset = int(r * len(row))
-            # `offset < len(row)` guards float rounding at r -> 1
-            u = row[offset] if offset < len(row) else row[-1]
-            append(u)
-    elif kernel_name == "non_backtracking":
-        prev = -1
-        for r in uniforms:
-            lo = indptr[u]
-            deg = degrees[u]
-            if deg == 1:
-                nxt = indices[lo]
-            else:
-                offset = int(r * deg)
-                if offset == deg:
-                    offset -= 1
-                nxt = indices[lo + offset]
-                while nxt == prev:
-                    offset = int(nprng.random() * deg)
-                    if offset == deg:
-                        offset -= 1
-                    nxt = indices[lo + offset]
-            prev, u = u, nxt
-            append(u)
-    else:  # accept/reject baselines: candidate draw + accept draw per step
-        # Accept formulas inline kernel_move_probabilities — the
-        # canonical table — because this is a per-step hot loop.
-        accepts = nprng.random(num_steps).tolist()
-        alpha = spec.alpha
-        max_degree = spec.max_degree
-        delta = spec.delta
-        probes: List[int] = []
-        probing = spec.probes_proposals
-        for step, r in enumerate(uniforms):
-            deg = degrees[u]
-            offset = int(r * deg)
-            if offset == deg:
-                offset -= 1
-            proposal = indices[indptr[u] + offset]
-            if kernel_name == "mhrw":
-                accept = min(1.0, deg / degrees[proposal])
-            elif kernel_name == "rcmh":
-                accept = min(1.0, (deg / degrees[proposal]) ** alpha)
-            elif kernel_name == "mdrw":
-                if deg > max_degree:
-                    raise WalkError(
-                        f"walk reached a node of degree {deg} > "
-                        f"max_degree={max_degree}"
-                    )
-                accept = deg / max_degree
-            else:  # gmd
-                accept = deg / max(deg, delta * max_degree)
-            if probing:
-                probes.append(proposal)
-            if accepts[step] < accept:
-                u = proposal
-            append(u)
-        if probing:
-            return (
-                np.asarray(out, dtype=np.int64),
-                np.asarray(probes, dtype=np.int64),
-            )
-    return np.asarray(out, dtype=np.int64), None
+    state = walker.initial_state(pages, u, generator)
+    positions: List[int] = []
+    append = positions.append
+    for _ in range(num_steps):
+        u, state = step(pages, u, state, generator)
+        append(u)
+    path = np.asarray(positions, dtype=np.int64)
+    if not return_probes:
+        return path
+    probes = np.asarray(pages.probes, dtype=np.int64) if spec.probes_proposals else None
+    return path, probes
 
 
 # ----------------------------------------------------------------------
@@ -1371,7 +1259,6 @@ __all__ = [
     "resolve_kernel_spec",
     "kernel_move_probabilities",
     "kernel_stationary_weights",
-    "exact_randbelow",
     "draw_start_index",
     "csr_walk",
     "charge_distinct_pages",

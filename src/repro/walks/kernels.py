@@ -10,12 +10,16 @@ Each kernel answers two questions:
 
 Kernels implemented
 -------------------
-Every kernel has two engines: the object interface below, consumed one
-step at a time by the reference :class:`~repro.walks.engine.RandomWalk`,
-and a vectorized fleet twin in :mod:`repro.walks.batched` /
-:mod:`repro.walks.line_batched` (CSR name in the table), where the
-accept/reject kernels advance whole fleets with a single accept mask
-per step.  The EX-* baselines run these kernels on the *line graph*;
+Every kernel has two engines.  The object interface below is the
+scalar one: the reference :class:`~repro.walks.engine.RandomWalk`
+steps it through the restricted API, and
+:func:`repro.walks.batched.csr_walk` steps the very same objects over
+CSR rows.  The vectorized fleet twin lives in
+:mod:`repro.walks.batched` / :mod:`repro.walks.line_batched` (CSR name
+in the table), where the accept/reject kernels advance whole fleets
+with a single accept mask per step; their accept formulas are written
+once more there, as arrays, in
+:func:`~repro.walks.batched.kernel_move_probabilities`.  The EX-* baselines run these kernels on the *line graph*;
 their fleet execution walks it implicitly
 (:class:`~repro.walks.line_batched.BatchedLineWalkEngine`).
 
@@ -35,9 +39,7 @@ a neighbor-list API; following common practice the caller supplies an
 upper bound (for the experiments we pass the true maximum degree, which
 is the most favourable setting for those baselines).  The vectorized
 engines receive a kernel as a :class:`~repro.walks.batched.KernelSpec`
-(or read the knobs off a kernel instance); exact-RNG replay of each
-kernel against this module's reference implementations is available via
-:func:`repro.walks.batched.csr_walk`.
+(or read the knobs off a kernel instance).
 """
 
 from __future__ import annotations

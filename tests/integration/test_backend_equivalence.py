@@ -3,13 +3,13 @@
 The tentpole guarantee: ``backend="csr"`` must reproduce the reference
 engine's estimates *distribution for distribution*.  Two layers:
 
-* exact layer (fast tier) — with ``exact_rng=True`` the CSR pipeline is
-  bit-for-bit identical to the reference pipeline, so estimates match
-  to the last ulp on a handful of seeds;
-* statistical layer (slow tier) — the default fast-RNG CSR path is
-  compared against the reference path over ≥ 50 independent seeds with
-  a two-sample Kolmogorov–Smirnov test plus a relative-mean tolerance,
-  per algorithm family.
+* exact layer (fast tier) — the CSR pipeline replays the reference
+  kernels, so it is bit-for-bit identical to the reference pipeline and
+  estimates match to the last ulp on a handful of seeds;
+* statistical layer (slow tier) — the CSR path is compared against the
+  reference path over ≥ 50 independent seeds with a two-sample
+  Kolmogorov–Smirnov test plus a relative-mean tolerance, per algorithm
+  family.
 """
 
 import numpy as np
@@ -56,7 +56,7 @@ def _estimates(graph, t1, t2, algorithm, backend):
 
 
 class TestExactLayer:
-    """exact_rng=True: the CSR pipeline is the reference pipeline."""
+    """The CSR pipeline is the reference pipeline."""
 
     def test_neighbor_sample_estimates_identical(self, gender_osn):
         for seed in (0, 1, 2):
@@ -66,7 +66,7 @@ class TestExactLayer:
             ).sample(SAMPLE_SIZE)
             api_csr = RestrictedGraphAPI(gender_osn)
             csr_samples = NeighborSampleSampler(
-                api_csr, 1, 2, burn_in=BURN_IN, rng=seed, backend="csr", exact_rng=True
+                api_csr, 1, 2, burn_in=BURN_IN, rng=seed, backend="csr"
             ).sample(SAMPLE_SIZE)
             ref = EdgeHansenHurwitzEstimator().estimate(ref_samples)
             fast = EdgeHansenHurwitzEstimator().estimate(csr_samples)
@@ -81,7 +81,7 @@ class TestExactLayer:
             ).sample(SAMPLE_SIZE)
             api_csr = RestrictedGraphAPI(gender_osn)
             csr_samples = NeighborExplorationSampler(
-                api_csr, 1, 2, burn_in=BURN_IN, rng=seed, backend="csr", exact_rng=True
+                api_csr, 1, 2, burn_in=BURN_IN, rng=seed, backend="csr"
             ).sample(SAMPLE_SIZE)
             ref = NodeHansenHurwitzEstimator().estimate(ref_samples)
             fast = NodeHansenHurwitzEstimator().estimate(csr_samples)
@@ -91,7 +91,7 @@ class TestExactLayer:
 
 @pytest.mark.slow
 class TestStatisticalLayer:
-    """Default fast-RNG CSR path vs reference path over >= 50 seeds."""
+    """CSR path vs reference path over >= 50 seeds."""
 
     @pytest.mark.parametrize(
         "algorithm",

@@ -1,4 +1,4 @@
-"""ServiceHTTPServer: the dependency-free asyncio transport.
+"""ServiceHTTPServer: the dependency-free asyncio HTTP server.
 
 Each test boots the server on an ephemeral port inside its own event
 loop and speaks raw HTTP/1.1 over ``asyncio.open_connection`` — the
@@ -10,8 +10,7 @@ import json
 
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.service import ServiceHTTPServer, create_fastapi_app
+from repro.service import ServiceHTTPServer
 
 BURN_IN = 5  # matches the conftest fixtures
 
@@ -197,15 +196,3 @@ class TestErrorContract:
         status, body = _run(ram_service, scenario)
         assert status == 400
         assert "t1" in body["error"]
-
-
-class TestFastAPIGate:
-    def test_factory_raises_actionably_without_fastapi(self, ram_service):
-        try:
-            import fastapi  # noqa: F401
-        except ImportError:
-            with pytest.raises(ConfigurationError, match="stdlib"):
-                create_fastapi_app(ram_service)
-        else:  # pragma: no cover - containers without the extra skip this
-            app = create_fastapi_app(ram_service)
-            assert app is not None

@@ -2,7 +2,7 @@
 
 Deterministic (fast-tier) properties of the accept/reject vectorization:
 kernel degenerations (``alpha`` ∈ {0, 1}, ``delta`` = 1), max-degree
-validation, isolated-walker errors, exact-RNG replay of every baseline
+validation, isolated-walker errors, scalar replay of every baseline
 kernel against the reference engine, rejection-aware ledger accounting,
 and the prefix/fleet bit-equality that the prefix-reuse sweep engine
 relies on.  The statistical fleet-vs-sequential equivalence lives in
@@ -92,7 +92,7 @@ class TestKernelSpecs:
 
 
 class TestExactReplay:
-    """csr_walk(exact_rng=True) must replay the reference kernels bit for bit."""
+    """csr_walk must replay the reference kernels bit for bit."""
 
     @pytest.mark.parametrize(
         "make_kernel, make_spec",
@@ -120,8 +120,9 @@ class TestExactReplay:
         ],
         ids=["mhrw", "mdrw", "rcmh", "rcmh-alpha0", "gmd"],
     )
+    @pytest.mark.parametrize("form", ["spec", "instance"])
     def test_kernel_replays_reference_engine(
-        self, gender_osn, csr_osn, make_kernel, make_spec
+        self, gender_osn, csr_osn, make_kernel, make_spec, form
     ):
         max_degree = max(gender_osn.degree(node) for node in gender_osn.nodes())
         start = next(iter(gender_osn.nodes()))
@@ -133,8 +134,7 @@ class TestExactReplay:
             120,
             csr_osn.index_of(start),
             random.Random(99),
-            kernel=make_spec(max_degree),
-            exact_rng=True,
+            kernel=(make_spec if form == "spec" else make_kernel)(max_degree),
         )
         ids = csr_osn.node_ids
         assert [ids[int(i)] for i in path] == reference.nodes
@@ -369,7 +369,7 @@ class TestScalarSamplerParity:
     """Scalar CSR samplers with MH-family kernels keep reference parity."""
 
     def test_ne_exact_rng_charged_call_parity(self, gender_osn):
-        """exact_rng NeighborExploration with an MH kernel must replay the
+        """CSR NeighborExploration with an MH kernel must replay the
         python backend bit for bit — rejected-proposal page probes
         included in the charged-call accounting."""
         from repro.core.samplers import NeighborExplorationSampler
@@ -384,7 +384,7 @@ class TestScalarSamplerParity:
             ).sample(50)
             csr = NeighborExplorationSampler(
                 RestrictedGraphAPI(gender_osn), 1, 2, burn_in=10,
-                kernel=make_kernel(), rng=42, backend="csr", exact_rng=True,
+                kernel=make_kernel(), rng=42, backend="csr",
             ).sample(50)
             assert [s.node for s in reference.samples] == [s.node for s in csr.samples]
             assert reference.api_calls_used == csr.api_calls_used
@@ -394,10 +394,10 @@ class TestScalarSamplerParity:
         kernel must raise the same WalkError on either backend."""
         from repro.core.samplers import NeighborSampleSampler
 
-        for backend, extra in (("python", {}), ("csr", {"exact_rng": True})):
+        for backend in ("python", "csr"):
             sampler = NeighborSampleSampler(
                 RestrictedGraphAPI(gender_osn), 1, 2, burn_in=10,
-                kernel=MetropolisHastingsKernel(), rng=42, backend=backend, **extra,
+                kernel=MetropolisHastingsKernel(), rng=42, backend=backend,
             )
             with pytest.raises(WalkError, match="self-loop"):
                 sampler.sample(50)

@@ -4,10 +4,10 @@ Covers, on small graphs with exactly known structure:
 
 * CSR construction fidelity (order-preserving adjacency, label masks,
   vectorized ``T(u)`` counts),
-* same-seed **step-for-step** agreement between the exact-RNG CSR walk
-  and the dict-based reference engine, for both supported kernels,
+* same-seed **step-for-step** agreement between the scalar CSR walk
+  and the dict-based reference engine, for every kernel,
 * same-seed sample-for-sample and charged-API-call agreement between
-  the CSR samplers (``exact_rng=True``) and the reference samplers,
+  the CSR samplers and the reference samplers,
 * the batched engine's structural invariants (valid transitions,
   non-backtracking property, degree-stationary accounting, budgets).
 """
@@ -40,8 +40,11 @@ from repro.walks.batched import (
 )
 from repro.walks.engine import RandomWalk
 from repro.walks.kernels import (
+    GeneralMaximumDegreeKernel,
+    MaximumDegreeKernel,
     MetropolisHastingsKernel,
     NonBacktrackingKernel,
+    RejectionControlledMHKernel,
     SimpleRandomWalkKernel,
 )
 
@@ -147,13 +150,17 @@ class TestKernelResolution:
 
 
 class TestStepForStepAgreement:
-    """Same seed, same trajectory as the dict engine (exact-RNG mode)."""
+    """Same seed, same trajectory as the dict engine."""
 
     @pytest.mark.parametrize(
         "kernel_factory,kernel_name",
         [
             (SimpleRandomWalkKernel, "simple"),
             (NonBacktrackingKernel, "non_backtracking"),
+            (MetropolisHastingsKernel, "mhrw"),
+            (RejectionControlledMHKernel, "rcmh"),
+            (SimpleRandomWalkKernel, SimpleRandomWalkKernel()),
+            (NonBacktrackingKernel, NonBacktrackingKernel()),
         ],
     )
     def test_walk_matches_reference_engine(
@@ -172,9 +179,41 @@ class TestStepForStepAgreement:
                 csr.index_of(start),
                 random.Random(seed),
                 kernel_name,
-                exact_rng=True,
             )
             assert [csr.node_ids[i] for i in path] == reference.nodes
+
+    @pytest.mark.parametrize(
+        "sampler_class,make_kernel",
+        [
+            (NeighborSampleSampler, lambda d: SimpleRandomWalkKernel()),
+            (NeighborSampleSampler, lambda d: NonBacktrackingKernel()),
+            (NeighborExplorationSampler, lambda d: SimpleRandomWalkKernel()),
+            (NeighborExplorationSampler, lambda d: NonBacktrackingKernel()),
+            (NeighborExplorationSampler, lambda d: MetropolisHastingsKernel()),
+            (NeighborExplorationSampler, lambda d: MaximumDegreeKernel(d)),
+            (NeighborExplorationSampler, lambda d: RejectionControlledMHKernel(0.3)),
+            (NeighborExplorationSampler, lambda d: GeneralMaximumDegreeKernel(d, 0.5)),
+        ],
+        ids=[
+            "ns-simple", "ns-non_backtracking", "ne-simple",
+            "ne-non_backtracking", "ne-mhrw", "ne-mdrw", "ne-rcmh", "ne-gmd",
+        ],
+    )
+    def test_csr_backend_equals_python_backend(
+        self, gender_osn, sampler_class, make_kernel
+    ):
+        # No flag: backend="csr" is the reference stream by construction.
+        max_degree = max(gender_osn.degree(node) for node in gender_osn.nodes())
+        for seed in (0, 9, 31):
+            answers = []
+            for backend in ("python", "csr"):
+                api = RestrictedGraphAPI(gender_osn)
+                samples = sampler_class(
+                    api, 1, 2, burn_in=12, kernel=make_kernel(max_degree),
+                    rng=seed, backend=backend,
+                ).sample(60)
+                answers.append((list(samples), api.api_calls))
+            assert answers[1] == answers[0]
 
     def test_neighbor_sample_sampler_matches(self, gender_osn):
         for seed in (3, 11):
@@ -184,7 +223,7 @@ class TestStepForStepAgreement:
             ).sample(80)
             api_csr = RestrictedGraphAPI(gender_osn)
             fast = NeighborSampleSampler(
-                api_csr, 1, 2, burn_in=15, rng=seed, backend="csr", exact_rng=True
+                api_csr, 1, 2, burn_in=15, rng=seed, backend="csr"
             ).sample(80)
             assert [(s.u, s.v, s.is_target) for s in fast] == [
                 (s.u, s.v, s.is_target) for s in reference
@@ -200,7 +239,7 @@ class TestStepForStepAgreement:
             ).sample(80)
             api_csr = RestrictedGraphAPI(gender_osn)
             fast = NeighborExplorationSampler(
-                api_csr, 1, 2, burn_in=15, rng=seed, backend="csr", exact_rng=True
+                api_csr, 1, 2, burn_in=15, rng=seed, backend="csr"
             ).sample(80)
             assert [
                 (s.node, s.degree, s.has_target_label, s.incident_target_edges)
@@ -220,7 +259,7 @@ class TestStepForStepAgreement:
         ).sample(60)
         api_csr = RestrictedGraphAPI(rare_label_osn)
         fast = NeighborExplorationSampler(
-            api_csr, t1, t2, burn_in=10, rng=2018, backend="csr", exact_rng=True
+            api_csr, t1, t2, burn_in=10, rng=2018, backend="csr"
         ).sample(60)
         assert [s.incident_target_edges for s in fast] == [
             s.incident_target_edges for s in reference
@@ -280,7 +319,7 @@ class TestCSRSamplerBehaviour:
         for seed in (4, 5):
             NeighborSampleSampler(api_ref, 1, 2, burn_in=10, rng=seed).sample(60)
             NeighborSampleSampler(
-                api_csr, 1, 2, burn_in=10, rng=seed, backend="csr", exact_rng=True
+                api_csr, 1, 2, burn_in=10, rng=seed, backend="csr"
             ).sample(60)
             assert api_csr.api_calls == api_ref.api_calls
 
@@ -294,7 +333,7 @@ class TestCSRSamplerBehaviour:
         )
         before = api.api_calls
         NeighborSampleSampler(
-            api, 1, 2, burn_in=5, rng=1, backend="csr", exact_rng=True
+            api, 1, 2, burn_in=5, rng=1, backend="csr"
         ).sample(40, start_node=start)
         # identical seed + start: the walk revisits exactly the same
         # pages, all already downloaded
@@ -355,6 +394,16 @@ class TestCSRSamplerBehaviour:
         api = RestrictedGraphAPI(gender_osn)
         with pytest.raises(ConfigurationError):
             NeighborSampleSampler(api, 1, 2, backend="gpu")
+
+    def test_numpy_generator_is_accepted(self, gender_osn):
+        csr = CSRGraph.from_labeled_graph(gender_osn)
+        path = csr_walk(csr, 50, 0, np.random.default_rng(3))
+        again = csr_walk(csr, 50, 0, np.random.default_rng(3))
+        assert path.shape == (50,) and np.array_equal(path, again)
+        previous = 0
+        for node in path.tolist():
+            assert node in csr.neighbors(previous).tolist()
+            previous = node
 
     def test_isolated_node_raises_walk_error(self):
         graph = LabeledGraph()
