@@ -17,7 +17,9 @@ shm-published graph (the ``pokec`` registry entry at half scale):
    (``run_trials_prefix``) at the same user seed;
 5. a concurrent burst of distinct-seed queries spanning all ten
    algorithms — walked as packed fleets — answers every query
-   bit-identically to ``run_trials_prefix`` at its own seed.
+   bit-identically to ``run_trials_prefix`` at its own seed, and
+   ``GET /stats`` shows at most two whole-adjacency label passes per
+   label queried.
 
 **Chaos** (``--faults``) — the resilience-layer acceptance path, with a
 deterministic fault plan installed at the production ``fire`` sites
@@ -283,13 +285,20 @@ def _distinct_seed_burst(port, service, graph, t1, t2) -> None:
         )
         assert answer["estimates"] == outcome.estimates, name
         assert answer["api_calls"] == outcome.api_calls, name
-    after = _get(port, "/stats")["fleets"]
+    stats = _get(port, "/stats")
+    after = stats["fleets"]
     fleets = after["built"] - before["built"]
     walks = after["walks_run"] - before["walks_run"]
     assert fleets == len(queries), (before, after)
+    # Ground truth and T(u) come from per-label neighbor counts: the
+    # whole-adjacency passes are bounded by the labels, not the pairs.
+    passes = stats["graph"]["label_passes"]
+    assert passes <= 2 * len({t1, t2}), stats["graph"]
     print(
         f"distinct-seed burst ok: {len(queries)} algorithms, {fleets} fleets "
-        f"in {walks} packed walk(s), all bit-identical to run_trials_prefix",
+        f"in {walks} packed walk(s), all bit-identical to run_trials_prefix; "
+        f"{passes} label pass(es), "
+        f"{stats['graph']['label_cache_mb']:.2f} MB of label caches",
         flush=True,
     )
 

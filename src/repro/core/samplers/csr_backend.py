@@ -40,8 +40,9 @@ of :class:`~repro.walks.line_batched.BatchedLineWalkEngine`.)
 
 The fleet classification paths touch the graph only through gathers
 (label masks indexed by trajectories, ``gather_neighbors`` for the
-exploration ledgers) and the incident-count table — whose underlying
-whole-adjacency pass dispatches to the chunked-gather fallback on
+exploration ledgers) and ``T(u)`` at the collected nodes, assembled
+from the per-label neighbor counts — one whole-adjacency pass per
+label, which dispatches to the chunked-gather fallback on
 memory-mapped graphs (:meth:`CSRGraph.neighbor_mask_counts`) — so they
 run unchanged over shm/mmap-backed CSR buffers
 (:mod:`repro.graph.store`).
@@ -285,9 +286,10 @@ def explore_nodes_csr(
 ) -> NodeSampleSet:
     """NeighborExploration (Algorithm 2, single-walk variant) on CSR arrays.
 
-    ``T(u)`` for labeled sampled nodes comes from the precomputed
-    vectorized incident-target-edge counts; the charged-call accounting
-    adds the pages of explored neighbors, as the reference sampler does.
+    ``T(u)`` for the sampled nodes comes from the cached per-label
+    neighbor counts (:meth:`CSRGraph.target_incident_counts`); the
+    charged-call accounting adds the pages of explored neighbors, as the
+    reference sampler does.
     *page_filter* marks pages already downloaded (free revisits); it is
     updated in place.  (On budget exhaustion, which pages count as
     fetched-before-crossing is approximated: explorations are accounted
@@ -301,7 +303,7 @@ def explore_nodes_csr(
     m1 = csr.label_mask(t1)
     m2 = csr.label_mask(t2)
     has_label = m1[collected] | m2[collected]
-    incident = csr.target_incident_counts(t1, t2)[collected]
+    incident = csr.target_incident_counts(t1, t2, nodes=collected)
 
     labeled = np.unique(collected[has_label])
     if labeled.size:
@@ -582,9 +584,11 @@ def classify_node_fleet(
 ) -> NodeSampleBatch:
     """NeighborExploration classification of an already-walked fleet.
 
-    ``T(u)`` comes from the precomputed vectorized incident counts; the
-    per-trial charged-call ledger adds the pages of the neighbors each
-    trial explores around its labeled sampled nodes — recomputed per
+    ``T(u)`` is asked for at the collected nodes only, assembled from
+    the cached per-label neighbor counts
+    (:meth:`CSRGraph.target_incident_counts`); the per-trial
+    charged-call ledger adds the pages of the neighbors each trial
+    explores around its labeled sampled nodes — recomputed per
     classification because which nodes get explored depends on the
     target pair.  When the fleet walked a non-degree-stationary kernel
     (:attr:`FleetWalkResult.kernel`) the batch also carries the
@@ -595,9 +599,7 @@ def classify_node_fleet(
     m1 = csr.label_mask(t1)
     m2 = csr.label_mask(t2)
     has_label = m1[collected] | m2[collected]
-    incident = np.where(
-        has_label, csr.target_incident_counts(t1, t2)[collected], 0
-    ).astype(np.int64)
+    incident = csr.target_incident_counts(t1, t2, nodes=collected)
 
     # MH-family kernels probed their proposals' pages too; folding the
     # probe columns into the page matrix charges them alongside the
@@ -670,9 +672,11 @@ def explore_nodes_fleet(
 ) -> NodeSampleBatch:
     """NeighborExploration for *repetitions* independent trials in one fleet.
 
-    ``T(u)`` comes from the precomputed vectorized incident counts; the
-    per-trial charged-call ledger adds the pages of the neighbors each
-    trial explores around its labeled sampled nodes, exactly like the
+    ``T(u)`` is asked for at the collected nodes only, assembled from
+    the cached per-label neighbor counts
+    (:meth:`CSRGraph.target_incident_counts`); the per-trial
+    charged-call ledger adds the pages of the neighbors each trial
+    explores around its labeled sampled nodes, exactly like the
     reference sampler running through a fresh caching wrapper.
     """
     fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel)

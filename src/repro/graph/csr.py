@@ -178,8 +178,10 @@ class CSRGraph:
         self._handle: Optional[object] = None
         self._index_of: Optional[Dict[Node, int]] = None
         self._mask_cache: Dict[Label, np.ndarray] = {}
-        self._incident_cache: Dict[Tuple[Label, Label], np.ndarray] = {}
+        self._neighbor_count_cache: Dict[Label, np.ndarray] = {}
         self._target_count_cache: Dict[Tuple[Label, Label], int] = {}
+        #: Whole-adjacency neighbor passes run so far (``/stats``).
+        self.label_passes = 0
         self._indptr_list: Optional[List[int]] = None
         self._indices_list: Optional[List[int]] = None
         self._degrees_list: Optional[List[int]] = None
@@ -495,8 +497,10 @@ class CSRGraph:
         passes in the data plane (the walk engines only *gather*), so on
         a memory-mapped graph it dispatches to the chunked variant
         instead of materialising an |E|-sized accumulator next to a
-        larger-than-RAM adjacency.
+        larger-than-RAM adjacency.  Each call counts in
+        :attr:`label_passes`.
         """
+        self.label_passes += 1
         if self.store == "mmap":
             return self._neighbor_mask_counts_chunked(mask)
         acc = np.concatenate(
@@ -533,28 +537,58 @@ class CSRGraph:
             running += int(part[-1])
         return boundary[1:] - boundary[:-1]
 
-    def target_incident_counts(self, t1: Label, t2: Label) -> np.ndarray:
-        """``T(u)`` for every node: incident target edges for ``(t1, t2)``.
+    def label_neighbor_counts(self, label: Label) -> np.ndarray:
+        """``C_l``: per node, how many neighbors carry *label* (cached).
+
+        One :meth:`neighbor_mask_counts` pass the first time a label is
+        asked for; every pair statistic is assembled from these arrays,
+        so L labels cost at most L whole-adjacency passes however many
+        pairs are asked.
+        """
+        counts = self._neighbor_count_cache.get(label)
+        if counts is None:
+            counts = self.neighbor_mask_counts(self.label_mask(label))
+            counts.setflags(write=False)
+            self._neighbor_count_cache[label] = counts
+        return counts
+
+    def target_incident_counts(
+        self, t1: Label, t2: Label, nodes: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``T(u)``: target edges for ``(t1, t2)`` incident to each node.
+
+        Assembled from the per-label neighbor counts as
+        ``m1·C2 + m2·C1`` (``m1·C1`` when ``t1 == t2``) — exact integers,
+        nothing cached per pair.  *nodes* (an index array of any shape,
+        repeats allowed) asks for ``T`` at those nodes only; omitted,
+        the result covers every node.
 
         Matches :meth:`LabeledGraph.target_edges_incident_to`: a neighbor
         is counted once even when both branch conditions hold, hence the
-        inclusion–exclusion term for nodes carrying both labels.
+        inclusion–exclusion term for nodes carrying both labels.  Only
+        set-labeled graphs have such nodes; the term gathers just their
+        neighbors.
         """
-        key = (t1, t2)
-        counts = self._incident_cache.get(key)
-        if counts is None:
-            m1 = self.label_mask(t1)
-            m2 = self.label_mask(t2)
-            c2 = self.neighbor_mask_counts(m2)
-            if t1 == t2:
-                counts = np.where(m1, c2, 0)
-            else:
-                c1 = self.neighbor_mask_counts(m1)
-                cboth = self.neighbor_mask_counts(m1 & m2)
-                counts = m1 * c2 + m2 * c1 - (m1 & m2) * cboth
-            counts = counts.astype(np.int64)
-            counts.setflags(write=False)
-            self._incident_cache[key] = counts
+        at = slice(None) if nodes is None else np.asarray(nodes, dtype=np.int64)
+        m1 = self.label_mask(t1)[at]
+        c1 = self.label_neighbor_counts(t1)[at]
+        if t1 == t2:
+            return m1 * c1
+        m2 = self.label_mask(t2)[at]
+        counts = m1 * self.label_neighbor_counts(t2)[at] + m2 * c1
+        both = m1 & m2
+        if both.any():
+            owners = np.flatnonzero(both) if nodes is None else at[both]
+            owners, inverse = np.unique(owners, return_inverse=True)
+            both_mask = self.label_mask(t1) & self.label_mask(t2)
+            # Per-owner neighbor hits: a running total over the gathered
+            # rows, differenced at the row ends.
+            lengths = self.degrees[owners]
+            hits = np.concatenate(
+                ([0], np.cumsum(both_mask[self.gather_neighbors(owners)], dtype=np.int64))
+            )
+            ends = np.cumsum(lengths)
+            counts[both] -= (hits[ends] - hits[ends - lengths])[inverse]
         return counts
 
     def seal_buffers(self, reason: str = "buffers are sealed") -> None:
@@ -592,12 +626,20 @@ class CSRGraph:
         """Why the buffers are read-only, or ``None`` when still writable."""
         return getattr(self, "_sealed", None)
 
+    def label_cache_bytes(self) -> int:
+        """Bytes held by the cached label masks and per-label neighbor counts."""
+        return sum(
+            array.nbytes
+            for cache in (self._mask_cache, self._neighbor_count_cache)
+            for array in cache.values()
+        )
+
     def export_label_caches(self) -> Dict[str, Dict]:
         """Picklable snapshot of the derived label caches.
 
-        Masks and incident-count arrays are O(|V|) to store but O(|E|)
-        to derive, so a parent that has already classified can hand
-        them to workers instead of letting each one re-stream the
+        Masks and per-label neighbor counts are O(|V|) to store but
+        O(|E|) to derive, so a parent that has already classified can
+        hand them to workers instead of letting each one re-stream the
         adjacency.  Used by the ``n_jobs`` plane when a graph is
         re-published through a pre-existing handle that cannot carry
         caches computed since it was written (see
@@ -606,7 +648,7 @@ class CSRGraph:
         """
         return {
             "masks": dict(self._mask_cache),
-            "incident": dict(self._incident_cache),
+            "neighbor_counts": dict(self._neighbor_count_cache),
             "counts": dict(self._target_count_cache),
         }
 
@@ -621,8 +663,8 @@ class CSRGraph:
         """
         for label, mask in payload.get("masks", {}).items():
             self._mask_cache.setdefault(label, mask)
-        for pair, counts in payload.get("incident", {}).items():
-            self._incident_cache.setdefault(pair, counts)
+        for label, counts in payload.get("neighbor_counts", {}).items():
+            self._neighbor_count_cache.setdefault(label, counts)
         for pair, count in payload.get("counts", {}).items():
             self._target_count_cache.setdefault(pair, int(count))
 
@@ -630,10 +672,10 @@ class CSRGraph:
         """Exact ground-truth count ``F`` for ``(t1, t2)`` via label masks.
 
         ``Σ_u T(u) = 2F`` (every target edge is incident to exactly two
-        nodes), so the count falls out of the cached vectorized
-        incident-target-edge array — no Python edge loop.  The integer
-        itself is cached per pair; a CSR view is immutable, so the cache
-        can never go stale.
+        nodes), so the count falls out of :meth:`target_incident_counts`
+        over the cached per-label neighbor counts — no Python edge loop.
+        The integer itself is cached per pair; a CSR view is immutable,
+        so the cache can never go stale.
         """
         key = (t1, t2)
         count = self._target_count_cache.get(key)

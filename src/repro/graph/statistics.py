@@ -78,9 +78,10 @@ def count_target_edges(graph: LabeledGraph, t1: Label, t2: Label) -> int:
 
     Counting goes through the graph's frozen CSR view (label masks, no
     Python edge loop) and is cached per ``(graph, pair)``: the view is
-    shared via :func:`repro.graph.csr.csr_view` and the per-pair
-    incident-count arrays are cached on it, so a table/sweep harness
-    re-asking for the same ground truth pays nothing.  Graph-likes that
+    shared via :func:`repro.graph.csr.csr_view` and caches one
+    neighbor-count array per label, so a table/sweep harness re-asking
+    for the same ground truth pays nothing, and a new pair over
+    already-seen labels pays no whole-graph pass.  Graph-likes that
     are not :class:`LabeledGraph` / :class:`CSRGraph` instances fall
     back to the dict edge loop.
     """

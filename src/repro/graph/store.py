@@ -132,10 +132,11 @@ class CSRHandle:
     :class:`~repro.graph.csr.CSRGraph` in any process that can reach
     the segment/file.
 
-    Derived caches travel too: any label masks, incident-target-edge
-    arrays and ground-truth counts the publisher had already computed
-    are published alongside the buffers (``masks`` / ``incident`` map
-    label keys to array specs, ``target_counts`` carries the scalars),
+    Derived caches travel too: any label masks, per-label neighbor
+    counts and ground-truth counts the publisher had already computed
+    are published alongside the buffers (``masks`` /
+    ``neighbor_counts`` map labels to array keys, ``target_counts``
+    carries the scalars),
     so an attached graph starts *warm* — a worker never repeats the
     publisher's O(|E|) classification passes.  The handle itself stays
     a few hundred bytes.
@@ -146,8 +147,8 @@ class CSRHandle:
     arrays: Tuple[ArraySpec, ...]
     #: ``(label, array_key)`` pairs for published label masks.
     masks: Tuple[Tuple[object, str], ...] = ()
-    #: ``(t1, t2, array_key)`` triples for published incident counts.
-    incident: Tuple[Tuple[object, object, str], ...] = ()
+    #: ``(label, array_key)`` pairs for published per-label neighbor counts.
+    neighbor_counts: Tuple[Tuple[object, str], ...] = ()
     #: ``(t1, t2, count)`` ground-truth target-edge counts.
     target_counts: Tuple[Tuple[object, object, int], ...] = ()
 
@@ -199,33 +200,35 @@ def _publishable_arrays(csr: CSRGraph) -> List[Tuple[str, np.ndarray]]:
 def _cache_payload(csr: CSRGraph) -> Tuple[
     List[Tuple[str, np.ndarray]],
     Tuple[Tuple[object, str], ...],
-    Tuple[Tuple[object, object, str], ...],
+    Tuple[Tuple[object, str], ...],
     Tuple[Tuple[object, object, int], ...],
 ]:
     """Whatever derived label caches *csr* already computed, as buffers.
 
     The publisher typically computed the ground truth before fanning
-    out, which populated the label masks and the incident-target-edge
-    arrays — exactly the O(|E|)-to-derive, O(|V|)-to-store arrays every
-    worker needs for classification.  Publishing them costs a few |V|
-    buffers in the segment and saves each attacher the recompute.
+    out, which populated the label masks and the per-label neighbor
+    counts — exactly the O(|E|)-to-derive, O(|V|)-to-store arrays every
+    worker needs for classification.  Publishing them costs one |V|
+    buffer per label in the segment and saves each attacher the
+    recompute.
     """
     payload: List[Tuple[str, np.ndarray]] = []
-    masks = []
-    for position, (label, mask) in enumerate(csr._mask_cache.items()):
-        key = f"cache_mask_{position}"
-        payload.append((key, np.ascontiguousarray(mask)))
-        masks.append((label, key))
-    incident = []
-    for position, (pair, counts) in enumerate(csr._incident_cache.items()):
-        key = f"cache_incident_{position}"
-        payload.append((key, np.ascontiguousarray(counts)))
-        incident.append((pair[0], pair[1], key))
+
+    def manifest(name: str, cache: Dict) -> Tuple[Tuple[object, str], ...]:
+        entries = []
+        for position, (label, array) in enumerate(cache.items()):
+            key = f"cache_{name}_{position}"
+            payload.append((key, np.ascontiguousarray(array)))
+            entries.append((label, key))
+        return tuple(entries)
+
+    masks = manifest("mask", csr._mask_cache)
+    neighbor_counts = manifest("neighbor_counts", csr._neighbor_count_cache)
     target_counts = tuple(
         (pair[0], pair[1], int(count))
         for pair, count in csr._target_count_cache.items()
     )
-    return payload, tuple(masks), tuple(incident), target_counts
+    return payload, masks, neighbor_counts, target_counts
 
 
 def _align(offset: int) -> int:
@@ -237,9 +240,10 @@ def _build_csr(
 ) -> CSRGraph:
     """Assemble an attached CSRGraph from named buffers (zero-copy).
 
-    Published derived caches (label masks, incident counts, ground-truth
-    counts) are re-wired from the handle's manifest, so the attached
-    graph classifies without repeating the publisher's O(|E|) passes.
+    Published derived caches (label masks, per-label neighbor counts,
+    ground-truth counts) are re-wired from the handle's manifests, so
+    the attached graph classifies without repeating the publisher's
+    O(|E|) passes.
     """
     csr = CSRGraph(
         arrays.get("node_ids"),
@@ -254,9 +258,9 @@ def _build_csr(
     for label, key in handle.masks:
         if key in arrays:
             csr._mask_cache[label] = arrays[key]
-    for t1, t2, key in handle.incident:
+    for label, key in handle.neighbor_counts:
         if key in arrays:
-            csr._incident_cache[(t1, t2)] = arrays[key]
+            csr._neighbor_count_cache[label] = arrays[key]
     for t1, t2, count in handle.target_counts:
         csr._target_count_cache[(t1, t2)] = int(count)
     csr.seal_buffers(f"attached from {store}")
@@ -311,7 +315,7 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 def _publish_shm(
     payload: List[Tuple[str, np.ndarray]],
     masks: Tuple[Tuple[object, str], ...],
-    incident: Tuple[Tuple[object, object, str], ...],
+    neighbor_counts: Tuple[Tuple[object, str], ...],
     target_counts: Tuple[Tuple[object, object, int], ...],
 ) -> Tuple[shared_memory.SharedMemory, CSRHandle]:
     specs: List[ArraySpec] = []
@@ -327,7 +331,7 @@ def _publish_shm(
         )
         view[...] = array
     return segment, CSRHandle(
-        "shm", segment.name, tuple(specs), masks, incident, target_counts
+        "shm", segment.name, tuple(specs), masks, neighbor_counts, target_counts
     )
 
 
@@ -789,7 +793,7 @@ def publish_csr(
         csr.seal_buffers(f"published to {store}")
         return CSRPublication(existing, owns_resource=False)
     payload = _publishable_arrays(csr)
-    caches, masks, incident, target_counts = _cache_payload(csr)
+    caches, masks, neighbor_counts, target_counts = _cache_payload(csr)
     payload = payload + caches
     # The publisher's own copy must match what workers attached: freeze
     # it so a post-publish in-place write raises instead of silently
@@ -797,13 +801,18 @@ def publish_csr(
     # cached answers in the serving layer).
     csr.seal_buffers(f"published to {store}")
     if store == "shm":
-        segment, handle = _publish_shm(payload, masks, incident, target_counts)
+        segment, handle = _publish_shm(payload, masks, neighbor_counts, target_counts)
         return CSRPublication(handle, segment=segment)
     target = Path(directory) if directory is not None else default_mmap_dir()
     path = target / f"csr-{os.getpid()}-{uuid.uuid4().hex}.npz"
     _write_npz(path, dict(payload))
     handle = CSRHandle(
-        "mmap", str(path), tuple(npz_array_specs(path)), masks, incident, target_counts
+        "mmap",
+        str(path),
+        tuple(npz_array_specs(path)),
+        masks,
+        neighbor_counts,
+        target_counts,
     )
     return CSRPublication(handle, path=path)
 

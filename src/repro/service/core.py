@@ -764,6 +764,8 @@ class EstimationService:
                 "store": self.graph_store,
                 "num_nodes": int(self._csr.num_nodes),
                 "num_edges": int(self._csr.num_edges),
+                "label_passes": self._csr.label_passes,
+                "label_cache_mb": self._csr.label_cache_bytes() / 2**20,
             },
             "cache": self._cache.stats(),
             "fleets": {

@@ -95,3 +95,23 @@ def rare_label_osn() -> LabeledGraph:
 def gender_api(gender_osn) -> RestrictedGraphAPI:
     """Restricted API over the gender OSN (fresh counter per test)."""
     return RestrictedGraphAPI(gender_osn)
+
+
+@pytest.fixture
+def neighbor_passes(monkeypatch) -> list:
+    """Spy recording every whole-adjacency neighbor pass of any CSR graph.
+
+    Each :meth:`CSRGraph.neighbor_mask_counts` call appends the number
+    of mask hits; clear the list to start counting at a later point.
+    """
+    from repro.graph.csr import CSRGraph
+
+    calls: list = []
+    original = CSRGraph.neighbor_mask_counts
+
+    def spy(self, mask):
+        calls.append(int(mask.sum()))
+        return original(self, mask)
+
+    monkeypatch.setattr(CSRGraph, "neighbor_mask_counts", spy)
+    return calls

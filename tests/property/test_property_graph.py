@@ -1,11 +1,17 @@
 """Property-based tests for the labeled-graph substrate."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.cleaning import connected_components, deduplicate_edges, largest_connected_component
+from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.statistics import count_target_edges, target_incident_counts
+from repro.graph.statistics import (
+    _count_target_edges_dict,
+    count_target_edges,
+    target_incident_counts,
+)
 
 # Edge lists over a small node universe so duplicates and self-loops appear often.
 edge_lists = st.lists(
@@ -114,3 +120,49 @@ def test_largest_component_is_connected_subgraph(edges):
     assert lcc.num_nodes <= graph.num_nodes
     assert lcc.num_edges <= graph.num_edges
     assert len(connected_components(lcc)) <= 1 or lcc.num_nodes == 0
+
+
+@st.composite
+def labeled_csr_graphs(draw):
+    """A CSR graph labeled by ``label_array`` or by ``label_sets``.
+
+    Set labels include the empty set and nodes carrying several labels
+    (the inclusion–exclusion case); array labels include a value no
+    pair asks for, so some nodes are unlabeled for every pair.
+    """
+    n = draw(st.integers(1, 12))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(edge, min_size=n, max_size=60))
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        graph = CSRGraph.from_edge_array(edges, num_nodes=n, label_array=np.array(labels))
+        names = (1, 2, 3)
+    else:
+        graph = CSRGraph.from_edge_array(edges, num_nodes=n)
+        label_sets = st.sampled_from([set(), {"a"}, {"b"}, {"c"}, {"a", "b"}, {"a", "b", "c"}])
+        labels = draw(st.lists(label_sets, min_size=n, max_size=n))
+        graph = graph.with_labels(label_sets=labels)
+        names = ("a", "b", "c")
+    first, second = draw(st.sampled_from([(0, 1), (1, 0), (0, 2), (0, 0), (2, 2)]))
+    t1, t2 = names[first], names[second]
+    nodes = draw(st.lists(st.integers(0, n - 1), max_size=24))
+    return graph, t1, t2, np.array(nodes, dtype=np.int64)
+
+
+@given(case=labeled_csr_graphs())
+@settings(max_examples=150, deadline=None)
+def test_csr_label_statistics_match_dict_reference(case):
+    """Per-label neighbor counts reproduce the dict reference exactly."""
+    csr, t1, t2, nodes = case
+    reference = csr.to_labeled_graph()
+    assert csr.count_target_edges(t1, t2) == _count_target_edges_dict(reference, t1, t2)
+    full = csr.target_incident_counts(t1, t2)
+    expected = target_incident_counts(reference, t1, t2)
+    assert full.tolist() == [expected[node] for node in range(csr.num_nodes)]
+    # T at an index array (repeats, unlabeled nodes, any shape) is the
+    # full array gathered there.
+    assert np.array_equal(csr.target_incident_counts(t1, t2, nodes=nodes), full[nodes])
+    if nodes.size % 2 == 0:
+        grid = nodes.reshape(2, -1)
+        assert np.array_equal(csr.target_incident_counts(t1, t2, nodes=grid), full[grid])

@@ -220,3 +220,26 @@ class TestAnswerPayload:
         assert stats["graph"]["num_nodes"] == 250
         assert stats["fleets"]["steps_per_second"] > 0
         assert stats["defaults"]["burn_in"] == BURN_IN
+
+
+class TestLabelStatisticsStats:
+    def test_label_passes_and_cache_size_are_reported(self):
+        """/stats shows one neighbor pass per label, not per pair."""
+        with EstimationService(
+            build_serving_graph(), graph_store="ram", cache_size=0,
+            default_repetitions=6, default_burn_in=BURN_IN, name="label-stats",
+        ) as service:
+            graph = service.stats()["graph"]
+            assert graph["label_passes"] == 0  # nothing warmed at boot
+            assert graph["label_cache_mb"] == 0
+            service.estimate(_query(algorithm="NeighborExploration-HH"))
+            graph = service.stats()["graph"]
+            assert graph["label_passes"] == 2
+            # two boolean masks plus two int64 neighbor-count arrays
+            n = service.csr.num_nodes
+            assert graph["label_cache_mb"] * 2**20 == pytest.approx(2 * n + 2 * 8 * n)
+            for t1, t2 in ((2, 1), (1, 1), (2, 2)):
+                service.estimate(
+                    _query(algorithm="NeighborExploration-HT", t1=t1, t2=t2)
+                )
+            assert service.stats()["graph"]["label_passes"] == 2

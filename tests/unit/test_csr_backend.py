@@ -131,6 +131,34 @@ class TestCSRGraphConstruction:
             )
 
 
+class TestLabelPassCount:
+    def test_ground_truth_and_fleets_cost_one_pass_per_label(self, neighbor_passes):
+        """C(L, 2) pairs over L labels run L neighbor passes, not 3 per pair."""
+        from itertools import combinations
+
+        from repro.core.samplers.csr_backend import classify_node_fleet
+
+        rng = np.random.default_rng(5)
+        hub = np.column_stack([np.zeros(299, dtype=np.int64), np.arange(1, 300)])
+        edges = np.concatenate([hub, rng.integers(0, 300, size=(1200, 2))])
+        labels = [1, 2, 3, 4, 5]
+        csr = CSRGraph.from_edge_array(
+            edges, num_nodes=300, label_array=rng.integers(1, 6, size=300)
+        )
+        pairs = list(combinations(labels, 2))
+        for t1, t2 in pairs:
+            csr.count_target_edges(t1, t2)
+        assert len(neighbor_passes) == len(labels)
+
+        neighbor_passes.clear()
+        fleet = BatchedWalkEngine(csr, rng=3).run_fleet(8, 40, burn_in=2)
+        for t1, t2 in pairs:
+            batch = classify_node_fleet(csr, fleet, t1, t2)
+            full = csr.target_incident_counts(t1, t2)
+            assert np.array_equal(batch.incident_target_edges, full[fleet.collected])
+        assert neighbor_passes == []
+
+
 class TestKernelResolution:
     def test_names_and_instances(self):
         assert resolve_csr_kernel(None) == "simple"

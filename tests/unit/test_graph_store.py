@@ -275,21 +275,30 @@ class TestHandleShape:
 
 
 class TestPublishedCaches:
-    def test_attached_graph_starts_warm(self, labeled_csr):
-        """Masks/incident/count caches computed before publishing travel along."""
+    def test_attached_graph_starts_warm(self, labeled_csr, neighbor_passes):
+        """Masks/per-label neighbor counts/truth counts computed before
+        publishing travel along."""
         truth = labeled_csr.count_target_edges(1, 2)  # populates all three caches
         with publish_csr(labeled_csr, "shm") as publication:
             assert publication.handle.masks  # manifest recorded
-            assert publication.handle.incident
+            assert {1, 2} <= {label for label, _ in publication.handle.neighbor_counts}
             assert publication.handle.target_counts
             attached = publication.attach()
             assert (1, 2) in attached._target_count_cache
             assert 1 in attached._mask_cache and 2 in attached._mask_cache
+            for label in (1, 2):
+                assert np.array_equal(
+                    attached._neighbor_count_cache[label],
+                    labeled_csr.label_neighbor_counts(label),
+                )
+            neighbor_passes.clear()
+            assert attached.count_target_edges(1, 2) == truth
+            assert attached.count_target_edges(2, 1) == truth  # not cached as a pair
             assert np.array_equal(
-                attached._incident_cache[(1, 2)],
+                attached.target_incident_counts(1, 2),
                 labeled_csr.target_incident_counts(1, 2),
             )
-            assert attached.count_target_edges(1, 2) == truth
+            assert neighbor_passes == []  # answered from the published arrays
             del attached
 
     def test_warm_caches_travel_through_mmap_publication(self, labeled_csr, tmp_path):
@@ -312,7 +321,7 @@ class TestPublishedCaches:
         )
         with publish_csr(graph, "shm") as publication:
             assert publication.handle.masks == ()
-            assert publication.handle.incident == ()
+            assert publication.handle.neighbor_counts == ()
             attached = publication.attach()
             assert attached.count_target_edges(1, 2) == graph.count_target_edges(1, 2)
             del attached
@@ -350,7 +359,7 @@ class TestReviewRegressions:
         assert np.array_equal(clone.indices, labeled_csr.indices)
         assert clone.count_target_edges(1, 2) >= 0
 
-    def test_export_adopt_label_caches(self, labeled_csr):
+    def test_export_adopt_label_caches(self, labeled_csr, neighbor_passes):
         warm = CSRGraph(
             None, labeled_csr.indptr.copy(), labeled_csr.indices.copy(),
             label_array=np.asarray(labeled_csr.label_array()).copy(),
@@ -358,13 +367,21 @@ class TestReviewRegressions:
         truth = warm.count_target_edges(1, 2)
         payload = warm.export_label_caches()
         assert payload["counts"][(1, 2)] == truth
+        assert set(payload["neighbor_counts"]) == {1, 2}
         cold = CSRGraph(
             None, labeled_csr.indptr.copy(), labeled_csr.indices.copy(),
             label_array=np.asarray(labeled_csr.label_array()).copy(),
         )
         cold.adopt_label_caches(payload)
         assert cold._target_count_cache[(1, 2)] == truth
-        assert 1 in cold._mask_cache and (1, 2) in cold._incident_cache
+        assert 1 in cold._mask_cache
+        assert 1 in cold._neighbor_count_cache and 2 in cold._neighbor_count_cache
+        neighbor_passes.clear()
+        assert cold.count_target_edges(2, 1) == truth
+        assert np.array_equal(
+            cold.target_incident_counts(1, 2), warm.target_incident_counts(1, 2)
+        )
+        assert neighbor_passes == []  # the adopted arrays answer the pair
         # Locally-present entries win over adopted ones.
         local_mask = cold.label_mask(1)
         cold.adopt_label_caches(payload)

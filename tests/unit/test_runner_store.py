@@ -158,7 +158,9 @@ class TestHandleShipping:
 
 
 class TestWarmCacheShipping:
-    def test_reused_handle_ships_parent_caches_by_value(self, csr_graph, tmp_path):
+    def test_reused_handle_ships_parent_caches_by_value(
+        self, csr_graph, tmp_path, neighbor_passes
+    ):
         """An already-mmap-backed graph keeps its cache-less handle on
         republication; the runner must hand the parent's derived caches
         to workers instead of letting each re-stream the adjacency."""
@@ -179,7 +181,11 @@ class TestWarmCacheShipping:
             worker_graph = _WORKER_STATE["graph"]
             assert worker_graph._target_count_cache[(1, 2)] == truth
             assert 1 in worker_graph._mask_cache
-            assert (1, 2) in worker_graph._incident_cache
+            assert 1 in worker_graph._neighbor_count_cache
+            assert 2 in worker_graph._neighbor_count_cache
+            neighbor_passes.clear()
+            assert worker_graph.count_target_edges(2, 1) == truth
+            assert neighbor_passes == []  # the shipped arrays answer the pair
         finally:
             _WORKER_STATE.clear()
             _WORKER_STATE.update(saved_state)
