@@ -33,11 +33,14 @@ memory-mapped graph against a fully-loaded twin, asserting the mmap
 run's RSS delta stays under the graph's in-RAM footprint (the
 out-of-core claim).
 
-Everything lands in ``benchmarks/results/BENCH_scale.json``.  CI runs
-the 10⁴ rung (see ``.github/workflows/ci.yml``) with
+Every run appends one entry (commit, date, machine, rungs and results)
+to ``benchmarks/results/BENCH_scale.json``; a floor that cannot fire at
+the rungs run records ``"skipped": "<reason>"``, and
+``scripts/bench_compare.py`` diffs the last two entries.  CI runs the
+10⁴ rung (see ``.github/workflows/ci.yml``) with
 ``-W error::ResourceWarning`` — a leaked shared-memory publication
-fails the build — and uploads the JSON as an artifact; the committed
-file is a full-ladder run including the ≥10⁶-node rung.
+fails the build — plus the 10⁶ graph-store floors, and uploads the
+JSON as an artifact.
 """
 
 import json
@@ -306,7 +309,9 @@ def test_ten_algorithm_table_at_scale():
 
     rungs = [rung for rung in RUNGS if rung >= 100_000]
     if not rungs:
-        pytest.skip("ladder has no >=10^5 rung (CI runs 10^4 only)")
+        reason = "ladder has no >=10^5 rung (CI runs 10^4 only)"
+        _RESULTS["ten_algorithm_table"] = {"skipped": reason}
+        pytest.skip(reason)
     graph = _ladder_graph(min(rungs), seed=30)
     suite, suite_seconds = _timed(lambda: build_algorithm_suite(graph))
     assert len(suite) == 10
@@ -523,13 +528,21 @@ def test_graph_store_fleets():
             "fully_loaded_delta_mb": round((inram_rss - baseline_rss) / 2**20, 1),
         },
     }
-    if num_nodes >= 1_000_000:
-        # Acceptance floors (10⁶ rung): shm multi-process beats the
-        # pickling path, and the mmap run's working set stays under the
-        # graph's in-RAM footprint.
-        assert shm_seconds < ram_seconds, _RESULTS["graph_store"]
-        assert mmap_rss < inram_rss, _RESULTS["graph_store"]
-        assert mmap_rss - baseline_rss < inram_bytes, _RESULTS["graph_store"]
+    if num_nodes < 1_000_000:
+        _RESULTS["graph_store"]["floors"] = {
+            "skipped": "the shm and mmap floors apply at the >=10^6 rung"
+        }
+        return
+    # Acceptance floors (10⁶ rung): shm multi-process beats the pickling
+    # path, and the mmap run's working set stays under the graph's
+    # in-RAM footprint.
+    floors = {
+        "shm_beats_pickled": shm_seconds < ram_seconds,
+        "mmap_under_fully_loaded": mmap_rss < inram_rss,
+        "mmap_delta_under_inram_graph": mmap_rss - baseline_rss < inram_bytes,
+    }
+    _RESULTS["graph_store"]["floors"] = floors
+    assert all(floors.values()), _RESULTS["graph_store"]
 
 
 def test_write_scale_json():
@@ -548,4 +561,4 @@ def test_write_scale_json():
     ):
         if key in _RESULTS:
             payload[key] = _RESULTS[key]
-    bench_support.write_json("BENCH_scale.json", payload)
+    bench_support.write_json("BENCH_scale.json", payload, rungs=RUNGS)

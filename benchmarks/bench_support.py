@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
+from datetime import datetime, timezone
 from pathlib import Path
+from typing import Optional, Sequence
 
 #: Where regenerated tables and figure series are written.
 RESULTS_DIR = Path(__file__).parent / "results"
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Benchmark-default experiment size (overridable via the environment).
 DEFAULT_REPETITIONS = int(os.environ.get("REPRO_REPETITIONS", "5"))
@@ -30,13 +36,56 @@ def write_result(name: str, content: str) -> Path:
     return path
 
 
-def write_json(name: str, payload: dict) -> Path:
-    """Persist one machine-readable artifact under ``benchmarks/results/``.
+def run_metadata(rungs: Optional[Sequence[int]] = None) -> dict:
+    """Where and on what a bench run happened: commit, date, machine."""
+    import numpy
 
-    Used for the perf-trajectory files (e.g. ``BENCH_core.json``) that
-    later PRs diff against, so keys should stay stable.
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        # Edited sources make the sha a "-dirty" one; earlier results
+        # written by the same session do not.
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no",
+             "--", ".", ":!benchmarks/results"],
+            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if dirty:
+            sha += "-dirty"
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "git_sha": sha,
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "rungs": None if rungs is None else [int(rung) for rung in rungs],
+    }
+
+
+def write_json(name: str, payload: dict, rungs: Optional[Sequence[int]] = None) -> Path:
+    """Append one run to a perf-trajectory file under ``benchmarks/results/``.
+
+    The file holds ``{"entries": [...]}``, oldest first; each entry is
+    ``{"meta": run_metadata(rungs), "results": payload}``, so a partial
+    run adds to the record instead of replacing it.  A file from before
+    the format becomes the first entry, marked as such.
+    ``scripts/bench_compare.py`` diffs the last two entries.
     """
-    return write_result(name, json.dumps(payload, indent=2, sort_keys=True))
+    path = RESULTS_DIR / name
+    entries = []
+    if path.exists():
+        existing = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(existing, dict) and "entries" in existing:
+            entries = existing["entries"]
+        else:
+            entries = [{"meta": {"legacy": "written before entries were appended"},
+                        "results": existing}]
+    entries.append({"meta": run_metadata(rungs), "results": payload})
+    return write_result(name, json.dumps({"entries": entries}, indent=2, sort_keys=True))
 
 
 def bench_settings() -> dict:

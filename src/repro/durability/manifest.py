@@ -230,6 +230,23 @@ def _fail(path: PathLike, detail: str) -> None:
     )
 
 
+def _drop_cached_pages(fd: int) -> None:
+    """Advise the kernel to drop the verified file's cached pages.
+
+    Verification reads the pages it checks into the page cache.  An
+    mmap attach that follows would find them warm, and the kernel's
+    fault-around maps every cached page near a fault, so a walk that
+    gathers a few rows would take the whole file into its RSS.  The
+    advice is best effort: a platform or file system without it keeps
+    the pages.
+    """
+    if hasattr(os, "posix_fadvise"):
+        try:
+            os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
+        except OSError:
+            pass
+
+
 def verify_artifact(path: PathLike, mode: Optional[str] = None) -> str:
     """Verify the artifact at *path* against its manifest footer.
 
@@ -282,6 +299,7 @@ def verify_artifact(path: PathLike, mode: Optional[str] = None) -> str:
                                 f"member {info.filename!r} page {index} "
                                 "digest mismatch",
                             )
+            _drop_cached_pages(raw.fileno())
     except (zipfile.BadZipFile, OSError) as exc:
         # A bit flip can surface as zipfile's own CRC check or a read
         # error before our digest comparison runs — same verdict.

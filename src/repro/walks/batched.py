@@ -44,6 +44,7 @@ use the chunked-gather fallback documented on
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -234,13 +235,16 @@ def pow_like_scalar(values, exponent: float) -> np.ndarray:
     implementation that disagrees with libm ``pow`` by 1 ULP on some
     inputs (machine-dependent), while the scalar tier — Python ``**``
     in the reference kernels, which :func:`csr_walk` replays — calls
-    libm.  The vectorized engines route their generic powers through
-    this helper so all tiers compute the same accept probabilities bit
-    for bit: the correctly-rounded exponents (1, 2, 0.5) vectorize
-    directly (they match :func:`_scalar_pow`'s fast paths exactly),
-    everything else evaluates libm ``pow`` once per *unique* base —
-    degrees and degree ratios repeat heavily — and gathers the results
-    back.
+    libm.  :func:`kernel_move_probabilities` (the accept oracle) and
+    :func:`kernel_stationary_weights` (past its lookup table) route
+    their generic powers through this helper so all tiers compute the
+    same values bit for bit: the correctly-rounded exponents (1, 2,
+    0.5) vectorize directly (they match :func:`_scalar_pow`'s fast
+    paths exactly), everything else evaluates libm ``pow`` once per
+    *unique* base — degrees and degree ratios repeat heavily — and
+    gathers the results back.  The packed walks' accept test takes
+    numpy's ``pow`` first and libm only near the uniform
+    (:data:`POW_BAND`).
     """
     values = np.asarray(values, dtype=np.float64)
     if exponent == 1.0:
@@ -257,6 +261,28 @@ def pow_like_scalar(values, exponent: float) -> np.ndarray:
     return powered[np.reshape(inverse, values.shape)]
 
 
+#: Degrees below this are weighted from a cached per-exponent table
+#: (:func:`_power_table`); a larger one sends its array through
+#: :func:`pow_like_scalar`.
+_POWER_TABLE_LIMIT = 1 << 16
+
+#: Smallest table built, so small graphs share one.
+_POWER_TABLE_MIN = 1 << 10
+
+
+@functools.lru_cache(maxsize=16)
+def _power_table(exponent: float, size: int) -> np.ndarray:
+    """``_scalar_pow(d, exponent)`` for ``d = 0 .. size-1``, read-only.
+
+    libm-rounded by construction, so a gather from it equals
+    :func:`pow_like_scalar` on integer degrees — without its
+    ``np.unique`` over every sample.
+    """
+    table = np.array([_scalar_pow(float(d), exponent) for d in range(size)])
+    table.setflags(write=False)
+    return table
+
+
 def kernel_move_probabilities(
     spec: KernelSpec,
     current_degrees: np.ndarray,
@@ -265,8 +291,9 @@ def kernel_move_probabilities(
     """Per-walker probability of accepting the drawn candidate.
 
     The array twin of the reference kernels' accept tests in
-    :mod:`repro.walks.kernels`, shared by every vectorized
-    accept/reject path (packed node and line-graph fleets):
+    :mod:`repro.walks.kernels`, and the exact oracle of the packed
+    fleets' fused test (:func:`accept_mask` decides every walker as
+    this function's probabilities would):
 
     * ``mhrw`` — ``min(1, d(u)/d(v))``
     * ``rcmh`` — ``min(1, (d(u)/d(v))**alpha)`` (``alpha=0``: always)
@@ -310,12 +337,23 @@ def kernel_stationary_weights(spec: KernelSpec, degrees: np.ndarray) -> np.ndarr
 
     The array twin of ``TransitionKernel.stationary_weight``; the EX-*
     estimators divide by these to importance-reweight their samples.
+    rcmh weights of integer degrees are gathered from a cached libm
+    table (:func:`_power_table`) instead of a ``np.unique`` pass over
+    every sample.
     """
     name = spec.name
     if name in ("mhrw", "mdrw"):
         return np.ones(degrees.shape, dtype=np.float64)
     if name == "rcmh":
-        return pow_like_scalar(degrees, 1.0 - spec.alpha)
+        exponent = 1.0 - spec.alpha
+        # pow_like_scalar's own fast paths beat a gather at 0.5 and 1.
+        generic = exponent not in (0.5, 1.0)
+        if generic and degrees.dtype.kind in "iu" and degrees.size:
+            top = int(degrees.max())
+            if top < _POWER_TABLE_LIMIT:
+                size = max(_POWER_TABLE_MIN, 1 << top.bit_length())
+                return _power_table(exponent, size)[degrees]
+        return pow_like_scalar(degrees, exponent)
     if name == "gmd":
         return np.maximum(degrees, spec.delta * spec.max_degree).astype(np.float64)
     return degrees.astype(np.float64)  # simple / non_backtracking
@@ -814,15 +852,129 @@ def walk_isolating_failures(
     return outcomes
 
 
-@dataclass
-class _AcceptKernel:
-    """One accept/reject kernel of a pack step and the walkers it moves."""
+#: Relative half-width of the band around numpy's ``np.power`` inside
+#: which an rcmh accept decision is re-taken with libm ``pow``
+#: (:func:`_scalar_pow`).  numpy's vectorized pow may differ from libm
+#: by 1 ULP (a relative 2⁻⁵²) on some inputs; a uniform outside the
+#: band lies on the same side of both values, so every decision is the
+#: libm one with a margin of 4096 ULP.
+POW_BAND = 2.0**-40
 
-    spec: KernelSpec
-    #: Walkers of this kernel within the active prefix.
-    index: Union[slice, np.ndarray]
-    #: ``(group, rows)`` of each group walking this kernel.
-    members: List[Tuple[int, slice]]
+
+def _collapse(values: np.ndarray, present: np.ndarray):
+    """*values* of a family: ``None`` when no walker is *present*, a
+    scalar when every walker is and shares one value, else the array."""
+    if not present.any():
+        return None
+    if present.all() and (values == values[0]).all():
+        return float(values[0])
+    return values
+
+
+@dataclass
+class _AcceptTable:
+    """The accept formulas of one pack phase, as per-walker arrays.
+
+    A walker that draws an accept uniform moves with probability
+    ``d / denominator``, raised to ``alpha`` for rcmh:
+
+    * **ratio family** (``mhrw``, ``rcmh``): the denominator is the
+      proposal's degree ``d'``; rcmh walkers with ``alpha != 1`` take
+      ``np.power`` of the ratio, re-decided with the libm value inside
+      :data:`POW_BAND` of their uniform;
+    * **degree family** (``mdrw``, ``gmd``): the denominator is
+      ``max(d, cap)`` with ``cap = d_max`` — which is ``d_max`` itself,
+      because ``d <= d_max`` is enforced — or ``cap = delta · d_max``;
+      the ``max`` is taken only when a gmd walker needs it.
+
+    ``min(1, ·)`` is dropped: a uniform below 1 is below ``p`` exactly
+    when it is below ``min(1, p)``.  Walkers that always move (simple,
+    non-backtracking, rcmh at ``alpha = 0``) draw no accept uniform;
+    :attr:`always` overrides their comparison, and their unread
+    uniform slots enter no arithmetic.  Each field collapses to a
+    scalar or ``None`` when it is uniform over the phase, so a pack of
+    one evaluates only its own kernel's formula.
+    """
+
+    #: Ratio-family walkers: ``None`` (none), ``True`` (all), or a mask.
+    ratio: Union[None, bool, np.ndarray]
+    #: Denominators of the walkers outside the ratio family (degree
+    #: caps; ``1`` for walkers that always move), or ``None``.
+    cap: Union[None, float, np.ndarray]
+    #: Whether a gmd walker needs ``max(d, cap)`` rather than ``cap``.
+    clamp: bool
+    #: ``mdrw`` maximum degrees (``inf`` elsewhere), or ``None``.
+    limit: Union[None, float, np.ndarray]
+    #: ``(group, spec, rows)`` of the mdrw groups, to name a failure.
+    mdrw: List[Tuple[int, KernelSpec, slice]]
+    #: Walkers raising their ratio to a power: ``None``, a slice, or indices.
+    power: Union[None, slice, np.ndarray]
+    #: Their exponents (a scalar when shared).
+    alpha: Union[float, np.ndarray]
+    #: Walkers that always move, or ``None``.
+    always: Optional[np.ndarray]
+
+    @classmethod
+    def build(
+        cls, members: Sequence[Tuple[int, KernelSpec, slice]], width: int
+    ) -> Optional["_AcceptTable"]:
+        """The table of *members* ``(group, spec, rows)``; ``None`` when
+        no walker draws an accept uniform."""
+        ratio = np.zeros(width, dtype=bool)
+        always = np.zeros(width, dtype=bool)
+        cap = np.ones(width)
+        limit = np.full(width, np.inf)
+        alpha = np.ones(width)
+        mdrw = []
+        clamp = False
+        for group, spec, rows in members:
+            if not spec.draws_accept:
+                always[rows] = True
+            elif spec.name in ("mhrw", "rcmh"):
+                ratio[rows] = True
+                if spec.name == "rcmh":
+                    alpha[rows] = spec.alpha
+            elif spec.name == "mdrw":
+                cap[rows] = limit[rows] = spec.max_degree
+                mdrw.append((group, spec, rows))
+            else:  # gmd
+                clamp = True
+                cap[rows] = spec.delta * spec.max_degree
+        if always.all():
+            return None
+        powered = ratio & (alpha != 1.0)
+        power: Union[None, slice, np.ndarray] = None
+        exponents: Union[float, np.ndarray] = 1.0
+        if powered.any():
+            power = slice(None) if powered.all() else np.flatnonzero(powered)
+            exponents = alpha[powered]
+            if (exponents == exponents[0]).all():
+                exponents = float(exponents[0])
+        return cls(
+            ratio=True if ratio.all() else (ratio if ratio.any() else None),
+            cap=_collapse(cap, ~ratio),
+            clamp=clamp,
+            limit=_collapse(limit, limit < np.inf),
+            mdrw=mdrw,
+            power=power,
+            alpha=exponents,
+            always=always if always.any() else None,
+        )
+
+    def check_max_degrees(self, current_degrees: np.ndarray) -> None:
+        """Raise :class:`GroupWalkFailure` for an mdrw walker whose
+        degree passed its kernel's ``max_degree``."""
+        limit = self.limit
+        if isinstance(limit, float):
+            past = int(current_degrees.max()) > limit
+        else:
+            past = bool((current_degrees > limit).any())
+        if past:
+            for group, spec, rows in self.mdrw:
+                try:
+                    kernel_move_probabilities(spec, current_degrees[rows], None)
+                except WalkError as exc:
+                    raise GroupWalkFailure(group, exc) from None
 
 
 @dataclass
@@ -830,19 +982,13 @@ class _Phase:
     """What a pack step needs to know about the still-walking groups."""
 
     width: int
-    accepts: List[_AcceptKernel]
+    #: The accept formulas, or ``None`` when every walker always moves.
+    accept: Optional[_AcceptTable]
     #: Non-backtracking walkers within the prefix, or ``None``.
     non_backtracking: Optional[np.ndarray]
     #: Rows of the active probing walkers, and how many there are.
     probes: Union[slice, np.ndarray]
     probe_width: int
-
-
-def _rows_index(rows: List[slice], width: int) -> Union[slice, np.ndarray]:
-    """A walker index for *rows*: a slice when it is the whole prefix."""
-    if len(rows) == 1 and rows[0].start == 0 and rows[0].stop == width:
-        return rows[0]
-    return np.concatenate([np.arange(row.start, row.stop) for row in rows])
 
 
 class PackLayout:
@@ -892,26 +1038,25 @@ class PackLayout:
     def phase(self, active: int) -> _Phase:
         """The phase in which the first *active* groups still walk."""
         width = self.bounds[active]
-        kernels: Dict[KernelSpec, List[Tuple[int, slice]]] = {}
+        members = [(g, self.groups[g].kernel, self.rows[g]) for g in self.order[:active]]
         non_backtracking = None
-        for g in self.order[:active]:
-            spec = self.groups[g].kernel
-            kernels.setdefault(spec, []).append((g, self.rows[g]))
+        for g, spec, rows in members:
             if spec.name == "non_backtracking":
                 if non_backtracking is None:
                     non_backtracking = np.zeros(width, dtype=bool)
-                non_backtracking[self.rows[g]] = True
-        accepts = [
-            _AcceptKernel(spec, _rows_index([rows for _, rows in members], width), members)
-            for spec, members in kernels.items()
-            if spec.draws_accept
-        ]
+                non_backtracking[rows] = True
         probe_width = int(np.searchsorted(self.probe_index, width))
         probe_rows = self.probe_index[:probe_width]
         probes: Union[slice, np.ndarray] = probe_rows
         if probe_width and probe_rows[-1] == probe_width - 1:
             probes = slice(0, probe_width)  # every active walker probes
-        return _Phase(width, accepts, non_backtracking, probes, probe_width)
+        return _Phase(
+            width,
+            _AcceptTable.build(members, width),
+            non_backtracking,
+            probes,
+            probe_width,
+        )
 
     def steps(self, generators: Sequence[np.random.Generator]):
         """Yield ``(step, uniforms, phase)`` for every step of the pack.
@@ -961,25 +1106,25 @@ def pack_block(array: np.ndarray, rows: slice, columns: int) -> np.ndarray:
     return array[rows, :columns]
 
 
-def _move_probabilities(
-    kernel: _AcceptKernel, current_degrees: np.ndarray, proposal_degrees: np.ndarray
+def _libm_powers(
+    ratios: np.ndarray, alpha: Union[float, np.ndarray], uniforms: np.ndarray
 ) -> np.ndarray:
-    """Accept probabilities of one kernel's walkers, failures attributed."""
-    index = kernel.index
-    try:
-        return kernel_move_probabilities(
-            kernel.spec, current_degrees[index], proposal_degrees[index]
-        )
-    except WalkError:
-        # mdrw past its maximum degree: name the group that got there.
-        for group, rows in kernel.members:
-            try:
-                kernel_move_probabilities(
-                    kernel.spec, current_degrees[rows], proposal_degrees[rows]
-                )
-            except WalkError as exc:
-                raise GroupWalkFailure(group, exc) from None
-        raise
+    """``ratios ** alpha`` as accept thresholds for *uniforms*.
+
+    numpy's ``np.power`` decides every walker whose uniform lies
+    outside :data:`POW_BAND` of it; the few inside are re-decided with
+    libm ``pow`` (:func:`_scalar_pow`, the reference kernels' ``**``),
+    so each comparison equals the libm one.
+    """
+    powered = np.power(ratios, alpha)
+    near = np.abs(uniforms - powered) <= powered * POW_BAND
+    if near.any():
+        (rows,) = np.nonzero(near)
+        exponents = np.broadcast_to(alpha, ratios.shape)[rows]
+        powered[rows] = [
+            _scalar_pow(x, y) for x, y in zip(ratios[rows].tolist(), exponents.tolist())
+        ]
+    return powered
 
 
 def accept_mask(
@@ -988,21 +1133,42 @@ def accept_mask(
     proposal_degrees: np.ndarray,
     uniforms: np.ndarray,
 ) -> np.ndarray:
-    """Which active walkers move: one accept test per kernel, not per group.
+    """Which active walkers move: one fused accept test over the width.
 
-    Walkers of kernels without an accept test always move.
+    The phase's :class:`_AcceptTable` gives every walker its formula,
+    so a step costs one denominator, one division, one ``np.power`` over
+    the rcmh walkers and one comparison, however many kernels the pack
+    mixes — each walker's decision equals its kernel's
+    :func:`kernel_move_probabilities` test bit for bit.  Walkers of
+    kernels without an accept test always move.  An mdrw walker past
+    its maximum degree raises :class:`GroupWalkFailure` naming its
+    group.
     """
     width = phase.width
-    if len(phase.accepts) == 1 and isinstance(phase.accepts[0].index, slice):
-        kernel = phase.accepts[0]
-        return uniforms[:width] < _move_probabilities(
-            kernel, current_degrees, proposal_degrees
+    table = phase.accept
+    if table is None:
+        return np.ones(width, dtype=bool)
+    uniforms = uniforms[:width]
+    if table.limit is not None:
+        table.check_max_degrees(current_degrees)
+    denominators = table.cap
+    if table.clamp:
+        denominators = np.maximum(current_degrees, table.cap)
+    if table.ratio is True:
+        denominators = proposal_degrees
+    elif table.ratio is not None:
+        denominators = np.where(table.ratio, proposal_degrees, denominators)
+    probabilities = current_degrees / denominators
+    index = table.power
+    if isinstance(index, slice):
+        probabilities = _libm_powers(probabilities, table.alpha, uniforms)
+    elif index is not None:
+        probabilities[index] = _libm_powers(
+            probabilities[index], table.alpha, uniforms[index]
         )
-    accept = np.ones(width, dtype=bool)
-    for kernel in phase.accepts:
-        accept[kernel.index] = uniforms[kernel.index] < _move_probabilities(
-            kernel, current_degrees, proposal_degrees
-        )
+    accept = uniforms < probabilities
+    if table.always is not None:
+        accept |= table.always
     return accept
 
 
@@ -1082,7 +1248,7 @@ def _walk_node_pack(
             if bump.any():
                 proposals[bump] = indices[rows[bump] + current_degrees[bump] - 1]
         nxt = proposals
-        if phase.accepts:
+        if phase.accept is not None:
             # Accept/reject kernels: rejected walkers stay in place (the
             # kernels' self-loop semantics).
             accept = accept_mask(phase, current_degrees, degrees[proposals], uniforms[1])
@@ -1123,7 +1289,8 @@ def run_packed_fleets(
     same kernel, generator and shape) — or the :class:`WalkError` that
     group's walk raised; the other groups are unaffected
     (:func:`walk_isolating_failures`).  Kernels may differ between
-    groups: each step evaluates one accept test per distinct kernel.
+    groups: each step evaluates one fused accept test over the whole
+    pack (:func:`accept_mask`), however many kernels it mixes.
     """
     _check_not_empty(csr)
     return walk_isolating_failures(

@@ -19,7 +19,9 @@ CSR rows.  The vectorized fleet twin lives in
 in the table), where the accept/reject kernels advance whole fleets
 with a single accept mask per step; their accept formulas are written
 once more there, as arrays, in
-:func:`~repro.walks.batched.kernel_move_probabilities`.  The EX-* baselines run these kernels on the *line graph*;
+:func:`~repro.walks.batched.kernel_move_probabilities` (the oracle the
+fused per-pack test of :func:`~repro.walks.batched.accept_mask` is
+held to).  The EX-* baselines run these kernels on the *line graph*;
 their fleet execution walks it implicitly
 (:class:`~repro.walks.line_batched.BatchedLineWalkEngine`).
 

@@ -22,9 +22,11 @@ of ``G``:
   allowed slots, the same device the non-backtracking kernel uses —
   fixed draw consumption per step, so a packed walk can pre-draw each
   group's uniforms and replay its solo stream bit-identically);
-* the kernel's accept test is one vectorized mask over the current and
-  proposal line degrees (:func:`~repro.walks.batched.kernel_move_probabilities`),
-  with stay-in-place semantics on rejection.
+* the accept test is one fused vectorized mask over the current and
+  proposal line degrees (:func:`~repro.walks.batched.accept_mask`: a
+  per-walker formula table whose decisions equal
+  :func:`~repro.walks.batched.kernel_move_probabilities`, rcmh's libm
+  ``pow`` included), with stay-in-place semantics on rejection.
 
 Charged-call accounting matches the reference path: walking to, or
 probing, a line node fetches the friend lists of *both its endpoints*
@@ -262,7 +264,7 @@ def _walk_line_pack(
             w[bump] = indices[rows[bump] + pivot_degrees[bump] - 1]
 
         # Kernel accept tests on line degrees; rejected walkers stay.
-        if phase.accepts:
+        if phase.accept is not None:
             accept = accept_mask(
                 phase, line_degrees, pivot_degrees + degrees[w] - 2, uniforms[2]
             )
@@ -307,8 +309,9 @@ def run_packed_line_fleets(
 
     The line-graph twin of :func:`~repro.walks.batched.run_packed_fleets`:
     one vectorized step advances every group's walkers, with a
-    per-walker kernel and one accept test per distinct kernel, so the
-    five EX-* baselines share a walk.  Returns one
+    per-walker kernel and one fused accept test over the whole pack
+    (:func:`~repro.walks.batched.accept_mask`), so the five EX-*
+    baselines share a walk and each step's accept test.  Returns one
     :class:`LineFleetResult` per group — bit-identical to its solo
     fleet — or the :class:`WalkError` that group's walk raised.
     """

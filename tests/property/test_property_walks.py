@@ -204,3 +204,97 @@ class TestPackedAcceptTests:
             else:
                 expected = uniforms[rows] < p
             assert np.array_equal(mask[rows], expected), fleet[g].kernel
+
+
+#: Every accept kernel a fused step mixes: rcmh covers generic
+#: exponents, the sqrt exponent and the identity, next to walkers that
+#: never draw an accept uniform.
+FUSED_KERNELS = st.sampled_from(
+    [
+        KernelSpec("simple"),
+        KernelSpec("rcmh", alpha=0.0),
+        KernelSpec("mhrw"),
+        *(KernelSpec("rcmh", alpha=alpha) for alpha in (0.05, 0.2, 0.3, 0.5, 1.0)),
+        KernelSpec("mdrw", max_degree=1000.0),
+        KernelSpec("gmd", max_degree=400.0, delta=0.5),
+        KernelSpec("gmd", max_degree=1000.0, delta=0.3),
+    ]
+)
+
+
+class TestFusedAcceptTest:
+    @given(
+        groups=st.lists(
+            st.tuples(FUSED_KERNELS, st.integers(1, 30)), min_size=1, max_size=8
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decisions_at_the_libm_threshold_equal_the_kernel_rule(self, groups, seed):
+        """Uniforms sit exactly on each walker's libm accept threshold
+        or one ULP to either side — where numpy's ``pow`` and libm's can
+        disagree — and the fused mask still equals every kernel's own
+        :func:`kernel_move_probabilities` test."""
+        fleet = [FleetGroup(spec, index, width, 10) for index, (spec, width) in enumerate(groups)]
+        layout = PackLayout(fleet, lambda spec: 1)
+        phase = layout.phase(len(fleet))
+        rng = np.random.default_rng(seed)
+        current = rng.integers(1, 1001, size=layout.width)
+        proposal = rng.integers(1, 1001, size=layout.width)
+        uniforms = rng.random(layout.width)
+        expected = np.ones(layout.width, dtype=bool)
+        below_one = np.nextafter(1.0, 0.0)  # uniforms are drawn from [0, 1)
+        for g in layout.order:
+            rows = layout.rows[g]
+            p = kernel_move_probabilities(fleet[g].kernel, current[rows], proposal[rows])
+            if p is None:
+                continue
+            threshold = np.minimum(p, below_one)
+            choices = np.stack(
+                [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)]
+            )
+            pick = rng.integers(0, 3, size=threshold.size)
+            uniforms[rows] = np.minimum(choices[pick, np.arange(threshold.size)], below_one)
+            expected[rows] = uniforms[rows] < p
+        assert np.array_equal(accept_mask(phase, current, proposal, uniforms), expected)
+
+    def test_numpy_pow_stays_inside_the_band(self):
+        """The band's premise: numpy's ``pow`` is within ``POW_BAND``
+        (relative) of libm's on line-degree ratios, so a uniform outside
+        the band is on the same side of both."""
+        from repro.walks.batched import POW_BAND
+
+        rng = np.random.default_rng(0)
+        ratios = rng.integers(1, 5000, size=20_000) / rng.integers(1, 5000, size=20_000)
+        for alpha in (0.05, 0.2, 0.3, 0.5, 0.7):
+            fast = np.power(ratios, alpha)
+            libm = pow_like_scalar(ratios, alpha)
+            assert np.max(np.abs(fast - libm) / libm) <= POW_BAND / 1024
+
+
+class TestRcmhWeightTable:
+    @given(
+        degrees=st.lists(st.integers(0, 70_000), min_size=1, max_size=50),
+        alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_table_gather_equals_libm_pow(self, degrees, alpha):
+        """Integer degrees — below and past the table's limit — weigh
+        exactly what ``pow_like_scalar`` computes, float degrees too."""
+        spec = KernelSpec("rcmh", alpha=alpha)
+        array = np.array(degrees)
+        expected = pow_like_scalar(array, 1.0 - alpha)
+        assert np.array_equal(kernel_stationary_weights(spec, array), expected)
+        floats = array.astype(np.float64)
+        assert np.array_equal(kernel_stationary_weights(spec, floats), expected)
+
+    def test_integer_degrees_skip_the_unique_pass(self, monkeypatch):
+        import repro.walks.batched as batched
+
+        def forbidden(values, exponent):
+            raise AssertionError("integer degrees should gather from the table")
+
+        monkeypatch.setattr(batched, "pow_like_scalar", forbidden)
+        degrees = np.random.default_rng(1).integers(1, 3000, size=10_000)
+        weights = kernel_stationary_weights(KernelSpec("rcmh", alpha=0.2), degrees)
+        assert weights[0] == _scalar_pow(float(degrees[0]), 0.8)

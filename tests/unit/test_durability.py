@@ -231,6 +231,35 @@ class TestManifest:
         header_slack = 256 * 1024  # central directory, manifest, local headers
         assert read <= 2 * SAMPLE_PAGES * PAGE_BYTES + header_slack, read
 
+    @pytest.mark.parametrize("mode", ["full", "sampled"])
+    def test_verified_pages_are_dropped_from_the_page_cache(
+        self, tmp_path, monkeypatch, mode
+    ):
+        """A warm cache would let an mmap attach fault the whole file in."""
+        target = tmp_path / "artifact.npz"
+        write_npz(target, _arrays())
+        calls = []
+
+        def spy(fd, offset, length, advice):
+            calls.append((os.fstat(fd).st_ino, offset, length, advice))
+
+        monkeypatch.setattr(os, "posix_fadvise", spy, raising=False)
+        monkeypatch.setattr(os, "POSIX_FADV_DONTNEED", 4, raising=False)
+        verify_artifact(target, mode=mode)
+        # The whole file (offset 0, length 0 = to the end), once.
+        assert calls == [(os.stat(target).st_ino, 0, 0, 4)]
+
+    def test_page_cache_advice_failure_is_not_corruption(self, tmp_path, monkeypatch):
+        target = tmp_path / "artifact.npz"
+        write_npz(target, _arrays())
+
+        def unsupported(*args):
+            raise OSError("advice not supported")
+
+        monkeypatch.setattr(os, "posix_fadvise", unsupported, raising=False)
+        monkeypatch.setattr(os, "POSIX_FADV_DONTNEED", 4, raising=False)
+        assert verify_artifact(target, mode="full") == "verified"
+
     def test_sampled_mode_catches_damage_in_a_sampled_page(self, tmp_path):
         from repro.durability.manifest import PAGE_BYTES
 

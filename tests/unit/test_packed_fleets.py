@@ -366,6 +366,65 @@ class TestLinePacks:
 
 
 # ----------------------------------------------------------------------
+# the fused accept test
+# ----------------------------------------------------------------------
+#: A signalling NaN: any arithmetic on it raises under
+#: ``np.errstate(invalid="raise")``.
+SIGNALLING_NAN = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
+
+
+class TestFusedAcceptStep:
+    def test_libm_band_over_every_walker_changes_nothing(self, csr, monkeypatch):
+        """Re-deciding every rcmh walker with libm ``pow`` walks the
+        same fleets as the numpy-first default."""
+        import repro.walks.batched as batched
+
+        node_groups = _groups(NODE_KERNELS * 2, seed0=1100)
+        line_groups = _groups(LINE_KERNELS * 2, seed0=1200)
+        node_reference = run_packed_fleets(csr, node_groups)
+        line_reference = run_packed_line_fleets(csr, line_groups)
+        monkeypatch.setattr(batched, "POW_BAND", np.inf)
+        for packed, expected in zip(run_packed_fleets(csr, node_groups), node_reference):
+            _assert_node_equal(packed, expected)
+        for packed, expected in zip(
+            run_packed_line_fleets(csr, line_groups), line_reference
+        ):
+            _assert_line_equal(packed, expected)
+
+    def test_unread_uniform_slots_enter_no_arithmetic(self, csr, monkeypatch):
+        """Walkers that never draw an accept uniform (simple, rcmh at
+        alpha=0) leave their slots of a mixed pack's accept row unset;
+        poisoned with signalling NaNs, those slots must not reach any
+        arithmetic, and the walk must not change."""
+        import repro.walks.batched as batched
+
+        node_groups = _groups(NODE_KERNELS, seed0=1300)
+        line_groups = _groups(LINE_KERNELS, seed0=1400)
+        node_reference = run_packed_fleets(csr, node_groups)
+        line_reference = run_packed_line_fleets(csr, line_groups)
+        draw = batched.PackLayout._draw
+        poisoned_slots = []
+
+        def poisoned(self, generators, active, step):
+            block = draw(self, generators, active, step)
+            for position, g in enumerate(self.order[:active]):
+                unread = block[:, self.draws[position] :, self.rows[g]]
+                unread[...] = SIGNALLING_NAN
+                poisoned_slots.append(unread.size)
+            return block
+
+        monkeypatch.setattr(batched.PackLayout, "_draw", poisoned)
+        with np.errstate(all="raise"):
+            node_packed = run_packed_fleets(csr, node_groups)
+            line_packed = run_packed_line_fleets(csr, line_groups)
+        assert sum(poisoned_slots) > 0
+        for packed, expected in zip(node_packed, node_reference):
+            _assert_node_equal(packed, expected)
+        for packed, expected in zip(line_packed, line_reference):
+            _assert_line_equal(packed, expected)
+
+
+# ----------------------------------------------------------------------
 # planner: all ten algorithms
 # ----------------------------------------------------------------------
 class TestPlannerPacks:
